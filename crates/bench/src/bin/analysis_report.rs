@@ -1,26 +1,30 @@
-//! Static bounds-check analysis report over the PolyBench suite, and the
-//! CI elision-regression gate.
+//! Static bounds-check analysis report over the PolyBench suite and the
+//! SPEC proxies (both at Mini), and the CI elision-regression gate.
 //!
-//! For every kernel this prints the plan's access accounting — elided
+//! For every module this prints the plan's access accounting — elided
 //! (statically proven), hoisted (covered by a versioned loop's preheader
-//! guard), emitted, and statically OOB — plus the elision ratio. No code
-//! runs; the numbers come straight from `lb-analysis`, so the tool is
-//! deterministic and fast enough to gate CI on.
+//! guard), emitted, and statically OOB — plus the elision ratio and the
+//! wall time `lb-analysis` took (`analysis_ms`, informational only: it is
+//! host-dependent and gates nothing). No code runs; the accounting comes
+//! straight from `lb-analysis`, so the gate is deterministic and fast
+//! enough for CI.
 //!
 //! Usage:
 //!   analysis_report                     print the table
-//!   analysis_report --check FLOORS      exit nonzero if any kernel's
+//!   analysis_report --check FLOORS      exit nonzero if any module's
 //!                                       elision ratio fell below its
 //!                                       recorded floor
 //!   analysis_report --write-floors FLOORS
 //!                                       record the current ratios
+//!                                       (rounded down to 4 places)
 //!
-//! The floors file is TSV: `kernel<TAB>min_elision_ratio`, checked in at
+//! The floors file is TSV: `module<TAB>min_elision_ratio`, checked in at
 //! `scripts/elision_floors.tsv` and consumed by `scripts/ci.sh`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::process::ExitCode;
+use std::time::Instant;
 
 struct Row {
     accesses: u64,
@@ -28,6 +32,7 @@ struct Row {
     hoisted: u64,
     emitted: u64,
     oob: u64,
+    analysis_ms: f64,
 }
 
 impl Row {
@@ -40,21 +45,25 @@ impl Row {
     }
 }
 
-fn analyze_all() -> BTreeMap<&'static str, Row> {
+fn analyze_all() -> BTreeMap<String, Row> {
+    let mut benches = lb_polybench::all(lb_polybench::Dataset::Mini);
+    benches.extend(lb_spec_proxy::all(lb_spec_proxy::Scale::Mini));
     let mut rows = BTreeMap::new();
-    for name in lb_polybench::NAMES {
-        let bench = lb_polybench::by_name(name, lb_polybench::Dataset::Mini).expect("known kernel");
-        let meta = lb_wasm::validate(&bench.module).expect("kernel validates");
+    for bench in benches {
+        let meta = lb_wasm::validate(&bench.module).expect("module validates");
+        let t0 = Instant::now();
         let plan = lb_analysis::analyze_module(&bench.module, &meta);
+        let analysis_ms = t0.elapsed().as_secs_f64() * 1e3;
         let (accesses, elided, emitted, oob) = plan.totals();
         rows.insert(
-            name,
+            bench.name,
             Row {
                 accesses,
                 elided,
                 hoisted: plan.total_hoisted(),
                 emitted,
                 oob,
+                analysis_ms,
             },
         );
     }
@@ -94,7 +103,7 @@ fn main() -> ExitCode {
             let floors = parse_floors(path);
             let mut regressions = Vec::new();
             for (name, floor) in &floors {
-                match rows.get(name.as_str()) {
+                match rows.get(name) {
                     Some(row) if row.ratio() + 1e-9 < *floor => regressions.push(format!(
                         "{name}: elision ratio {:.4} fell below recorded floor {floor:.4} \
                          ({} of {} accesses elided, {} hoisted, {} emitted)",
@@ -105,11 +114,11 @@ fn main() -> ExitCode {
                         row.emitted
                     )),
                     Some(_) => {}
-                    None => regressions.push(format!("{name}: kernel missing from the suite")),
+                    None => regressions.push(format!("{name}: module missing from the suite")),
                 }
             }
             for name in rows.keys() {
-                if !floors.contains_key(*name) {
+                if !floors.contains_key(name) {
                     regressions.push(format!(
                         "{name}: no recorded floor — add it to {path} (--write-floors)"
                     ));
@@ -117,7 +126,7 @@ fn main() -> ExitCode {
             }
             if regressions.is_empty() {
                 println!(
-                    "analysis_report --check: {} kernels at or above their elision floors",
+                    "analysis_report --check: {} modules at or above their elision floors",
                     rows.len()
                 );
                 ExitCode::SUCCESS
@@ -131,12 +140,13 @@ fn main() -> ExitCode {
         Some("--write-floors") => {
             let path = args.get(1).expect("--write-floors needs a floors file");
             let mut out = String::from(
-                "# Per-kernel static elision floors (kernel<TAB>min ratio).\n\
+                "# Per-module static elision floors (module<TAB>min ratio).\n\
                  # Regenerate with: cargo run -p lb-bench --bin analysis_report -- \
                  --write-floors scripts/elision_floors.tsv\n",
             );
             for (name, row) in &rows {
-                writeln!(out, "{name}\t{:.4}", row.ratio()).unwrap();
+                // Round down so a recorded floor never exceeds its ratio.
+                writeln!(out, "{name}\t{:.4}", (row.ratio() * 1e4).floor() / 1e4).unwrap();
             }
             std::fs::write(path, out).expect("write floors file");
             println!("wrote {} floors to {path}", rows.len());
@@ -144,19 +154,27 @@ fn main() -> ExitCode {
         }
         _ => {
             println!(
-                "{:<16} {:>9} {:>8} {:>8} {:>8} {:>5} {:>8}",
-                "kernel", "accesses", "elided", "hoisted", "emitted", "oob", "elide%"
+                "{:<16} {:>9} {:>8} {:>8} {:>8} {:>5} {:>8} {:>12}",
+                "module",
+                "accesses",
+                "elided",
+                "hoisted",
+                "emitted",
+                "oob",
+                "elide%",
+                "analysis_ms"
             );
             for (name, r) in &rows {
                 println!(
-                    "{:<16} {:>9} {:>8} {:>8} {:>8} {:>5} {:>7.1}%",
+                    "{:<16} {:>9} {:>8} {:>8} {:>8} {:>5} {:>7.1}% {:>12.2}",
                     name,
                     r.accesses,
                     r.elided,
                     r.hoisted,
                     r.emitted,
                     r.oob,
-                    100.0 * r.ratio()
+                    100.0 * r.ratio(),
+                    r.analysis_ms
                 );
             }
             ExitCode::SUCCESS

@@ -7,8 +7,9 @@
 #   3. the in-tree repo lint (unsafe/mmap/opcode containment, signal
 #      safety, unwrap policy)
 #   4. translation validation end-to-end + mutation detection
-#   5. elision-regression gate: no PolyBench kernel's static elision
-#      ratio may fall below its recorded floor (scripts/elision_floors.tsv)
+#   5. elision-regression gate: no PolyBench kernel's or SPEC proxy's
+#      static elision ratio may fall below its recorded floor
+#      (scripts/elision_floors.tsv)
 #   6. profiler smoke: one kernel sampled at 997 Hz, the chrome trace
 #      must re-parse and the attribution percentages must sum to ~100
 #   7. serving smoke: a short closed-loop serve_bench run; every admitted
