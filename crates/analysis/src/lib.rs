@@ -12,8 +12,8 @@
 //!   (`value == (local << shift) + addend`),
 //! * reconstructs the **structured control-flow tree** so dominating-check
 //!   facts survive joins (an `if/else` both of whose arms inherit a check
-//!   keeps it — unlike the JIT's old per-basic-block peephole, which
-//!   dropped every fact at every label), and are hoisted across loop
+//!   keeps it — unlike a per-basic-block peephole, which drops every
+//!   fact at every label), and are hoisted across loop
 //!   iterations via a widening/narrowing fixpoint at each loop header,
 //! * summarizes functions **interprocedurally**, bottom-up over the call
 //!   graph: caller argument intervals narrow an internal callee's
@@ -106,30 +106,6 @@ pub enum CheckKind {
     /// version (the interpreter, unversioned tiers) must treat this as
     /// `Emit`.
     ElideHoisted,
-    /// Covered by a dominating guard discovered by the mid tier's IR
-    /// dataflow pass (`lb-jit`'s `dataflow` module), not by this crate's
-    /// wasm-level analysis. Unlike [`CheckKind::ElideDominated`], the
-    /// verifier does *not* trust this decision: it accepts the elision
-    /// only when its own abstract interpretation independently re-derives
-    /// the dominating machine fact at the access. Trap-only; consumers
-    /// other than the guard-optimizing mid tier treat it as `Emit`.
-    ElideDominatedIr,
-}
-
-/// One per-guard decision from the mid tier's IR dataflow pass. Keyed by
-/// wasm pc; produced by `lb-jit`'s `dataflow` module and consumed by both
-/// codegen (to rewrite the guard) and lb-verify (to classify the site —
-/// never trusted for soundness, only for site-kind accounting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GuardOpt {
-    /// Drop the guard: an equal-or-stronger guard on the same address
-    /// value number dominates it ([`CheckKind::ElideDominatedIr`]).
-    GvnElide,
-    /// Fuse the guard into a single compare-against-limit + branch-to-trap
-    /// adjacent to the access. The payload is the per-module limit-table
-    /// slot holding `mem_size - (extent - 1)` (saturating) for this
-    /// guard's extent.
-    Fuse(u8),
 }
 
 /// One synthesized loop-preheader guard. The guard passes iff
@@ -1839,7 +1815,6 @@ impl<'m> Analyzer<'m> {
                 CheckKind::ElideDominated => self.summary.elided_dominated += 1,
                 CheckKind::StaticOob => self.summary.static_oob += 1,
                 CheckKind::ElideHoisted => unreachable!("assigned only at loop finalize"),
-                CheckKind::ElideDominatedIr => unreachable!("assigned only by lb-jit dataflow"),
             }
             if kind == CheckKind::ElideDominated && dom_static {
                 self.clamp_ok.push(pc as u32);
@@ -2471,9 +2446,9 @@ mod tests {
     #[test]
     fn dominated_check_elided_across_if_else_join() {
         use Instr::*;
-        // Regression for the JIT peephole's conservatism: `checked` facts
-        // used to be wiped at every label, so the post-join load was
-        // re-checked. The analysis keeps facts that hold on all paths.
+        // A per-basic-block peephole wipes its facts at every label, so it
+        // re-checks the post-join load. The analysis keeps facts that hold
+        // on all paths.
         let (m, meta) = mk(
             &[I32, I32], // p0: address (unbounded), p1: condition
             &[],

@@ -757,10 +757,19 @@ impl Asm {
 mod tests {
     use super::*;
 
+    /// Disassemble through the host `objdump`. Each call gets its own
+    /// scratch file: tests in one process run in parallel, and a shared
+    /// per-process path would let one test read another's bytes.
     fn disasm(code: &[u8]) -> String {
         use std::io::Write;
         use std::process::Command;
-        let path = std::env::temp_dir().join(format!("lbjit-asm-{}.bin", std::process::id()));
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "lbjit-asm-{}-{}.bin",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
         let mut f = std::fs::File::create(&path).unwrap();
         f.write_all(code).unwrap();
         drop(f);

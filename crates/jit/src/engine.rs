@@ -26,7 +26,6 @@ fn code_bytes_counter(opt: OptLevel) -> &'static str {
     match opt {
         OptLevel::None => "jit.code_bytes.none",
         OptLevel::Basic => "jit.code_bytes.basic",
-        OptLevel::Mid => "jit.code_bytes.mid",
         OptLevel::Full => "jit.code_bytes.full",
     }
 }
@@ -36,7 +35,6 @@ fn tier_label(opt: OptLevel) -> &'static str {
     match opt {
         OptLevel::None => "baseline",
         OptLevel::Basic => "basic",
-        OptLevel::Mid => "mid",
         OptLevel::Full => "full",
     }
 }
@@ -82,26 +80,18 @@ pub struct JitProfile {
     /// Run the periodic GC pauser thread (V8's worker-thread pauses).
     pub gc_pause: bool,
     /// Run the `lb-analysis` bounds-check elimination pass at load time
-    /// and consume its plan at the optimizing tiers.
+    /// and consume its plan at `Basic` and `Full`. The plan is the only
+    /// thing that removes a check.
     pub analysis: bool,
     /// Let the analysis synthesize loop-preheader guards and version the
     /// covered loops (no effect with `analysis` off).
     pub hoisting: bool,
-    /// Run the IR dataflow guard optimizations (`crate::dataflow`) at the
-    /// mid tier under the trap strategy: dominance-based redundant-guard
-    /// elimination and guard/access fusion. No effect at other tiers or
-    /// strategies. The `LB_GUARDOPT=0` environment knob force-disables it
-    /// process-wide.
-    pub guardopt: bool,
-    /// Target tier of the background recompile when `tiered` (the
-    /// `LB_TIER` knob swaps this between `Full` and `Mid`).
-    pub tier_target: OptLevel,
 }
 
 impl JitProfile {
     /// Toggle the static bounds-check analysis (on by default; turning it
-    /// off restores the legacy per-basic-block peephole, for differential
-    /// testing).
+    /// off emits every check — the paper's software checks without
+    /// elision, also the differential-testing reference).
     pub fn with_analysis(mut self, on: bool) -> JitProfile {
         self.analysis = on;
         self
@@ -115,29 +105,6 @@ impl JitProfile {
         self
     }
 
-    /// Toggle the mid tier's IR dataflow guard optimizations (GVN-based
-    /// elision + guard/access fusion; on by default — turning it off
-    /// restores the exact pre-dataflow emission, for differential testing
-    /// and A/B benchmarks).
-    pub fn with_guardopt(mut self, on: bool) -> JitProfile {
-        self.guardopt = on;
-        self
-    }
-
-    /// Use the mid-tier (`OptLevel::Mid`: IR-driven linear-scan register
-    /// homes plus redundant-access elimination) as this profile's
-    /// optimizing tier — the load-time tier for AOT profiles, the
-    /// background tier-up target for tiered ones. The `LB_TIER=mid`
-    /// environment knob routes here.
-    pub fn with_midtier(mut self, on: bool) -> JitProfile {
-        if self.tiered {
-            self.tier_target = if on { OptLevel::Mid } else { OptLevel::Full };
-        } else if on {
-            self.opt = OptLevel::Mid;
-        }
-        self
-    }
-
     /// WAVM: LLVM-quality AOT — our `Full` tier at load time.
     pub fn wavm() -> JitProfile {
         JitProfile {
@@ -148,8 +115,6 @@ impl JitProfile {
             gc_pause: false,
             analysis: true,
             hoisting: true,
-            guardopt: true,
-            tier_target: OptLevel::Full,
         }
     }
 
@@ -164,8 +129,6 @@ impl JitProfile {
             gc_pause: false,
             analysis: true,
             hoisting: true,
-            guardopt: true,
-            tier_target: OptLevel::Full,
         }
     }
 
@@ -180,8 +143,6 @@ impl JitProfile {
             gc_pause: true,
             analysis: true,
             hoisting: true,
-            guardopt: true,
-            tier_target: OptLevel::Full,
         }
     }
 }
@@ -255,17 +216,7 @@ pub struct JitModule {
     /// Bounds-check plan from `lb-analysis` (absent when the profile
     /// disables analysis).
     plan: Option<Arc<lb_analysis::ModulePlan>>,
-    /// Fused-guard extent table ([`crate::dataflow::module_extents`]),
-    /// programmed into every instance's `VmCtx::limit_extents`.
-    extents: Vec<u64>,
     code: Mutex<HashMap<BoundsStrategy, Arc<StrategyCode>>>,
-}
-
-/// Process-wide guard-optimization kill switch: `LB_GUARDOPT=0` (or
-/// `off`) disables the dataflow pass regardless of profile knobs.
-fn guardopt_env() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| !matches!(std::env::var("LB_GUARDOPT").as_deref(), Ok("0") | Ok("off")))
 }
 
 impl std::fmt::Debug for JitModule {
@@ -303,7 +254,6 @@ impl Engine for JitEngine {
             };
             Arc::new(lb_analysis::analyze_module_with(module, &meta, &cfg))
         });
-        let extents = crate::dataflow::module_extents(module);
         Ok(Arc::new(JitModule {
             module: module.clone(),
             meta,
@@ -311,7 +261,6 @@ impl Engine for JitEngine {
             pauser: self.pauser(),
             canon_types,
             plan,
-            extents,
             code: Mutex::new(HashMap::new()),
         }))
     }
@@ -333,7 +282,6 @@ impl JitModule {
         opt: OptLevel,
         funcptrs: &FuncPtrs,
     ) -> (Vec<u8>, Vec<usize>, Vec<usize>, Vec<lb_prof::FuncRange>) {
-        let guardopt = self.profile.guardopt && guardopt_env();
         let params = CompileParams {
             module: &self.module,
             metas: &self.meta.funcs,
@@ -342,8 +290,6 @@ impl JitModule {
             safepoints: self.profile.safepoints,
             funcptrs_base: funcptrs.base_addr(),
             plans: self.plan.as_deref(),
-            guardopt,
-            limit_extents: &self.extents,
         };
         let ni = self.module.num_imported_funcs() as usize;
         let mut blob = Vec::new();
@@ -364,7 +310,6 @@ impl JitModule {
                     self.plan.as_deref(),
                     strategy,
                     opt,
-                    guardopt,
                     di,
                     &code,
                 );
@@ -451,10 +396,8 @@ impl JitModule {
         let module = self.module.clone();
         let metas = self.meta.clone();
         let safepoints = self.profile.safepoints;
-        let target = self.profile.tier_target;
+        let target = OptLevel::Full;
         let plan = self.plan.clone();
-        let guardopt = self.profile.guardopt && guardopt_env();
-        let extents = self.extents.clone();
         std::thread::Builder::new()
             .name("lb-tierup".into())
             .spawn(move || {
@@ -475,8 +418,6 @@ impl JitModule {
                         safepoints,
                         funcptrs_base: sc.funcptrs.base_addr(),
                         plans: plan.as_deref(),
-                        guardopt,
-                        limit_extents: &extents,
                     };
                     let t0 = lb_telemetry::clock::now_ns();
                     let (code, pc_map) = compile_function_mapped(params, di);
@@ -488,7 +429,6 @@ impl JitModule {
                             plan.as_deref(),
                             strategy,
                             target,
-                            guardopt,
                             di,
                             &code,
                         );
@@ -577,11 +517,7 @@ impl LoadedModule for JitModule {
             pauser: self.pauser.clone(),
         });
 
-        let mut limit_extents = [0usize; crate::runtime::N_LIMIT_SLOTS];
-        for (slot, &e) in self.extents.iter().enumerate() {
-            limit_extents[slot] = e as usize;
-        }
-        let mut ctx = Box::new(VmCtx {
+        let ctx = Box::new(VmCtx {
             mem_base: inner
                 .memory
                 .as_ref()
@@ -598,10 +534,7 @@ impl LoadedModule for JitModule {
                 .as_ref()
                 .map(|p| p.flag_ptr())
                 .unwrap_or(std::ptr::null()),
-            mem_limits: [0; crate::runtime::N_LIMIT_SLOTS],
-            limit_extents,
         });
-        ctx.refresh_limits();
 
         let mut inst = JitInstance {
             module_name_cache: HashMap::new(),
@@ -693,7 +626,6 @@ impl JitInstance {
         self.ctx.stack_limit = (&marker as *const u8 as usize).saturating_sub(WASM_STACK_BUDGET);
         if let Some(m) = self.inner.memory.as_ref() {
             self.ctx.mem_size = m.committed();
-            self.ctx.refresh_limits();
         }
 
         let ctx_ptr: *mut VmCtx = &mut *self.ctx;

@@ -12,10 +12,7 @@
 pub mod asm;
 pub mod codebuf;
 pub mod codegen;
-pub mod dataflow;
 pub mod engine;
-pub mod ir;
-pub mod regalloc;
 pub mod runtime;
 pub mod verifier;
 

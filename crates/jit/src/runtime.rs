@@ -30,21 +30,7 @@ pub mod ctx_off {
     pub const INSTANCE: i32 = 48;
     /// `pause_flag: *const AtomicU32` (null when safepoints are inactive).
     pub const PAUSE_FLAG: i32 = 56;
-    /// `mem_limits: [usize; N_LIMIT_SLOTS]` — per-module fused-guard
-    /// limits. Slot `i` holds `mem_size - (limit_extents[i] - 1)`
-    /// (saturating at 0), so a fused check is the single instruction pair
-    /// `cmp addr, [r15 + MEM_LIMITS + 8*i]; jae trap`: not-taken iff
-    /// `addr < mem_size - extent + 1` iff `addr + extent <= mem_size`.
-    pub const MEM_LIMITS: i32 = 64;
-    /// `limit_extents: [usize; N_LIMIT_SLOTS]` — the extent each limit
-    /// slot was derived from (0 for unused slots). Kept in the ctx so the
-    /// limits can be recomputed whenever `mem_size` changes.
-    pub const LIMIT_EXTENTS: i32 = 64 + 8 * super::N_LIMIT_SLOTS as i32;
 }
-
-/// Number of fused-guard limit slots in [`VmCtx`]. The dataflow pass
-/// selects at most this many distinct guard extents per module.
-pub const N_LIMIT_SLOTS: usize = 8;
 
 /// The per-instance context block. JIT code keeps its address in `r15`
 /// and the memory base in `r14`.
@@ -68,25 +54,6 @@ pub struct VmCtx {
     pub instance: *mut InstanceInner,
     /// Safepoint flag polled at loop back-edges (V8 profile), or null.
     pub pause_flag: *const AtomicU32,
-    /// Fused-guard limits: `mem_size - (limit_extents[i] - 1)`, saturating
-    /// at 0 (an always-trapping limit when the memory is smaller than the
-    /// extent). Refreshed alongside `mem_size`.
-    pub mem_limits: [usize; N_LIMIT_SLOTS],
-    /// The guard extent each limit slot serves (0 = unused slot; its limit
-    /// is never loaded by generated code).
-    pub limit_extents: [usize; N_LIMIT_SLOTS],
-}
-
-impl VmCtx {
-    /// Recompute every fused-guard limit from the current `mem_size`.
-    /// Called at instantiation, after `memory.grow`, and whenever the
-    /// engine refreshes `mem_size` before an invoke.
-    pub fn refresh_limits(&mut self) {
-        for i in 0..N_LIMIT_SLOTS {
-            let e = self.limit_extents[i];
-            self.mem_limits[i] = self.mem_size.saturating_sub(e.saturating_sub(1));
-        }
-    }
 }
 
 /// One function-table slot: a function index (or `usize::MAX` when
@@ -276,7 +243,6 @@ pub extern "C" fn lb_jit_grow(ctx: *mut VmCtx, delta: u32) -> i32 {
         };
         let r = mem.grow(delta);
         (*ctx).mem_size = mem.committed();
-        (*ctx).refresh_limits();
         r.map(|p| p as i32).unwrap_or(-1)
     }
 }
@@ -412,40 +378,7 @@ mod tests {
         );
         assert_eq!(offset_of!(VmCtx, instance), ctx_off::INSTANCE as usize);
         assert_eq!(offset_of!(VmCtx, pause_flag), ctx_off::PAUSE_FLAG as usize);
-        assert_eq!(offset_of!(VmCtx, mem_limits), ctx_off::MEM_LIMITS as usize);
-        assert_eq!(
-            offset_of!(VmCtx, limit_extents),
-            ctx_off::LIMIT_EXTENTS as usize
-        );
         assert_eq!(std::mem::size_of::<TableEntry>(), 16);
-    }
-
-    #[test]
-    fn limits_track_mem_size() {
-        let mut ctx = VmCtx {
-            mem_base: std::ptr::null_mut(),
-            mem_size: 65536,
-            globals: std::ptr::null_mut(),
-            table: std::ptr::null(),
-            table_len: 0,
-            stack_limit: 0,
-            instance: std::ptr::null_mut(),
-            pause_flag: std::ptr::null(),
-            mem_limits: [0; N_LIMIT_SLOTS],
-            limit_extents: [0; N_LIMIT_SLOTS],
-        };
-        ctx.limit_extents[0] = 4;
-        ctx.limit_extents[1] = 68; // static offset 64 + 4-byte access
-        ctx.limit_extents[2] = 1 << 20; // larger than the memory
-        ctx.refresh_limits();
-        // addr < limit  ⟺  addr + extent <= mem_size
-        assert_eq!(ctx.mem_limits[0], 65536 - 3);
-        assert_eq!(ctx.mem_limits[1], 65536 - 67);
-        assert_eq!(ctx.mem_limits[2], 0); // always-trap
-        assert_eq!(ctx.mem_limits[3], 65536); // unused slot: extent 0
-                                              // The boundary addresses themselves.
-        assert!((65536 - 4) < ctx.mem_limits[0]); // last in-bounds word
-        assert!((65536 - 3) >= ctx.mem_limits[0]); // first OOB word
     }
 
     #[test]

@@ -37,20 +37,6 @@ const R15: u8 = 15;
 /// `ctx_off::MEM_SIZE` — the committed linear-memory size in bytes.
 const CTX_MEM_SIZE: i32 = 8;
 
-/// `ctx_off::MEM_LIMITS` — base of the per-extent fused-guard limit table
-/// (`mem_limits[i] = mem_size - (extent_i - 1)`, saturating).
-pub(crate) const CTX_MEM_LIMITS: i32 = 64;
-
-/// Number of fused-guard limit slots in `VmCtx` (`lb-jit`'s
-/// `N_LIMIT_SLOTS`).
-pub(crate) const N_LIMIT_SLOTS: usize = 8;
-
-/// The limit-table slot a `[r15 + disp]` operand addresses, if any.
-pub(crate) fn limit_slot(disp: i32) -> Option<u8> {
-    let rel = disp - CTX_MEM_LIMITS;
-    (rel >= 0 && rel < 8 * N_LIMIT_SLOTS as i32 && rel % 8 == 0).then_some((rel / 8) as u8)
-}
-
 // Symbol-id layout. Entry and special symbols live below `ID_INST_BASE`;
 // instruction-produced symbols are `ID_INST_BASE + offset*64 + slot` where
 // `slot` is the destination register (or a small tag); join symbols are
@@ -117,12 +103,6 @@ enum Flags {
     Unknown,
     /// `cmp reg, [r15 + MEM_SIZE]` (64-bit): the left-hand value.
     CmpMemSize(AbsVal),
-    /// `cmp reg, [r15 + MEM_LIMITS + 8*slot]` (64-bit): the left-hand
-    /// value and the limit-table slot — the fused-guard compare.
-    CmpLimit {
-        lhs: AbsVal,
-        slot: u8,
-    },
     /// `cmp_rr` 64-bit between two registers (the clamp compare).
     CmpRR {
         l: u8,
@@ -249,16 +229,7 @@ pub(crate) struct MachineAnalysis {
 ///
 /// `int_params` lists the function's integer parameters in ABI order,
 /// `true` for i32 (arrives zero-extended per the ABI assumption).
-/// `limit_extents` is the verifier's own recomputation of the module's
-/// fused-guard extent table (`dataflow::module_extents` is a pure function
-/// of the module); empty when the guard-optimizing configuration is off,
-/// which makes every limit-table compare an unknown flag state.
-pub(crate) fn analyze(
-    func: usize,
-    code: &[u8],
-    int_params: &[bool],
-    limit_extents: &[u64],
-) -> MachineAnalysis {
+pub(crate) fn analyze(func: usize, code: &[u8], int_params: &[bool]) -> MachineAnalysis {
     let mut findings = Vec::new();
     let insts = match decode_all(code) {
         Ok(v) => v,
@@ -276,7 +247,7 @@ pub(crate) fn analyze(
             };
         }
     };
-    let mut ai = Absint::new(func, code.len(), insts, int_params, limit_extents);
+    let mut ai = Absint::new(func, code.len(), insts, int_params);
     ai.scan_hguards();
     if let Err(f) = ai.build_cfg() {
         ai.findings.push(f);
@@ -313,9 +284,6 @@ struct Absint {
     hguards: Vec<HGuard>,
     /// Byte offset of a guard's final `ja` -> its `hguards` index.
     hguard_by_ja: HashMap<usize, usize>,
-    /// Fused-guard extent per limit-table slot (may be shorter than
-    /// `N_LIMIT_SLOTS`; out-of-range slots yield no fact).
-    limit_extents: Vec<u64>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -325,13 +293,7 @@ enum JoinLoc {
 }
 
 impl Absint {
-    fn new(
-        func: usize,
-        code_len: usize,
-        insts: Vec<(usize, Inst)>,
-        int_params: &[bool],
-        limit_extents: &[u64],
-    ) -> Absint {
+    fn new(func: usize, code_len: usize, insts: Vec<(usize, Inst)>, int_params: &[bool]) -> Absint {
         let by_off = insts
             .iter()
             .enumerate()
@@ -378,7 +340,6 @@ impl Absint {
             recording: false,
             hguards: Vec::new(),
             hguard_by_ja: HashMap::new(),
-            limit_extents: limit_extents.to_vec(),
         }
     }
 
@@ -611,18 +572,6 @@ impl Absint {
                             // its final `ja` proves the whole loop bound.
                             if let Some(&gi) = self.hguard_by_ja.get(&off) {
                                 fall.hfacts.insert(gi);
-                            }
-                        }
-                        // The fused-guard fall-through: `jae oob` not taken
-                        // means `lhs < mem_size - (extent - 1)`, i.e.
-                        // `lhs + extent <= mem_size`. Only `Ae` is sound
-                        // here — an `A` fall-through of the same compare is
-                        // off by one.
-                        if cc == Cc::Ae {
-                            if let Flags::CmpLimit { lhs, slot } = st.flags {
-                                if let Some(&extent) = self.limit_extents.get(usize::from(slot)) {
-                                    add_limit_fact(&mut fall, lhs, extent);
-                                }
                             }
                         }
                         out.push((t, st.clone()));
@@ -1194,15 +1143,6 @@ impl Absint {
                     st.flags = Flags::Unknown;
                 } else if w == W::W64 && m == Mem::base(Reg(R15), CTX_MEM_SIZE) {
                     st.flags = Flags::CmpMemSize(st.regs[d.0 as usize]);
-                } else if w == W::W64
-                    && m.base.0 == R15
-                    && m.index.is_none()
-                    && limit_slot(m.disp).is_some()
-                {
-                    st.flags = Flags::CmpLimit {
-                        lhs: st.regs[d.0 as usize],
-                        slot: limit_slot(m.disp).expect("checked above"),
-                    };
                 } else {
                     st.flags = Flags::Unknown;
                 }
@@ -1410,27 +1350,6 @@ fn add_fact(st: &mut State, lhs: AbsVal) {
     let (key, covered) = match lhs {
         AbsVal::Sym { id, add, .. } => (FactKey::Sym(id), add),
         AbsVal::Const(c) => (FactKey::Consts, c),
-        _ => return,
-    };
-    let e = st.facts.entry(key).or_insert(Fact {
-        covered: 0,
-        fresh: true,
-    });
-    e.covered = e.covered.max(covered);
-    e.fresh = true;
-}
-
-/// Record the fused-guard fact on the fall-through edge of `jae oob`:
-/// the compared value plus the slot's extent fits in `mem_size`. `extent`
-/// of 0 marks an unused slot and proves nothing (codegen never compares
-/// against one).
-fn add_limit_fact(st: &mut State, lhs: AbsVal, extent: u64) {
-    if extent == 0 {
-        return;
-    }
-    let (key, covered) = match lhs {
-        AbsVal::Sym { id, add, .. } => (FactKey::Sym(id), add.saturating_add(extent)),
-        AbsVal::Const(c) => (FactKey::Consts, c.saturating_add(extent)),
         _ => return,
     };
     let e = st.facts.entry(key).or_insert(Fact {

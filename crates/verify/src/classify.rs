@@ -104,13 +104,6 @@ fn is_ctx_field(m: &Mem, disp: i32) -> bool {
     m.base == CTX_REG && m.index.is_none() && m.disp == disp
 }
 
-/// A bounds compare against the context struct: the classic `mem_size`
-/// field, or (fused guards) a slot of the per-extent limit table.
-fn is_bounds_cmp(m: &Mem, mem_size_disp: i32) -> bool {
-    is_ctx_field(m, mem_size_disp)
-        || (m.base == CTX_REG && m.index.is_none() && crate::absint::limit_slot(m.disp).is_some())
-}
-
 /// True for the address-materialization instructions that may precede a
 /// check's compare: `lea scratch, [addr+ext]`, or the wide-extent form
 /// `movabs scratch, ext` / `add scratch, addr`.
@@ -143,7 +136,7 @@ pub fn classify_function(
     for (_, inst) in &insts {
         let class = match inst {
             Inst::Ud2Trap { .. } => InstClass::TrapPath,
-            Inst::CmpRm { m, .. } if is_bounds_cmp(m, mem_size_disp) => InstClass::GuardCompare,
+            Inst::CmpRm { m, .. } if is_ctx_field(m, mem_size_disp) => InstClass::GuardCompare,
             _ => match mem_of(inst) {
                 Some(m) if m.base == MEM_BASE_REG => InstClass::MemoryAccess,
                 _ => InstClass::Compute,
@@ -153,42 +146,31 @@ pub fn classify_function(
     }
 
     // Pass 2a: widen trap-strategy guards. The compare was found by its
-    // `[r15 + mem_size]` (or limit-table) operand; fold in the address
-    // setup before it and the `ja`/`jae trap` after it. Fused guards
-    // compare the index register directly — no setup precedes them.
+    // `[r15 + mem_size]` operand; fold in the address setup before it and
+    // the `ja trap` after it.
     for i in 0..n {
-        if classes[i] != InstClass::GuardCompare {
+        if !matches!(&insts[i].1, Inst::CmpRm { m, .. } if is_ctx_field(m, mem_size_disp)) {
             continue;
         }
-        let classic = matches!(&insts[i].1,
-            Inst::CmpRm { m, .. } if is_ctx_field(m, mem_size_disp));
-        if classic {
-            let mut j = i;
-            while j > 0 && classes[j - 1] == InstClass::Compute && is_addr_setup(&insts[j - 1].1) {
-                classes[j - 1] = InstClass::GuardCompare;
-                j -= 1;
-                // At most two setup instructions (movabs + add) precede.
-                if i - j == 2 {
-                    break;
-                }
+        let mut j = i;
+        while j > 0 && classes[j - 1] == InstClass::Compute && is_addr_setup(&insts[j - 1].1) {
+            classes[j - 1] = InstClass::GuardCompare;
+            j -= 1;
+            // At most two setup instructions (movabs + add) precede.
+            if i - j == 2 {
+                break;
             }
         }
-        if i + 1 < n {
-            if let Inst::Jcc {
-                cc: Cc::A | Cc::Ae, ..
-            } = insts[i + 1].1
-            {
-                classes[i + 1] = InstClass::GuardCompare;
-            }
+        if let Some((_, Inst::Jcc { cc: Cc::A, .. })) = insts.get(i + 1) {
+            classes[i + 1] = InstClass::GuardCompare;
         }
     }
 
     // Pass 2c: hoisted preheader guards (`emit_hoist_guard`), anchored on
     // their unique `cmp r11, 0x7FFF_FFFF` range pre-check followed by
     // `ja`. Walk backward over the bound load — a 32-bit `mov r11, reg`
-    // when the bound local lives in a register home (pinned at `Full`,
-    // linear-scan-allocated at `Mid`, including the caller-saved homes
-    // r8/r9) or a 32-bit `mov r11, [rbp+disp]` from its spill slot — plus
+    // when the bound local is pinned in a register (`Full`) or a 32-bit
+    // `mov r11, [rbp+disp]` from its spill slot — plus
     // the optional `sub r11, 1`, and forward over the optional
     // `shl`/`add r11` up to the final size compare pass 2a already
     // marked. The whole sequence is bounds-check time.
@@ -401,57 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_limit_compare_is_guard() {
-        // The fused guard: cmp rcx, [r15+64]; jae trap; mov eax, [r14+rcx].
-        // No lea precedes it, and the branch is `jae`, not `ja`.
-        let code = bytes(&[
-            Inst::CmpRm {
-                w: W::W64,
-                d: Reg::RCX,
-                m: Mem::base(Reg::R15, 64),
-            },
-            Inst::Jcc { cc: Cc::Ae, rel: 0 },
-            Inst::MovRm {
-                w: W::W32,
-                d: Reg::RAX,
-                m: Mem {
-                    base: Reg::R14,
-                    index: Some((Reg::RCX, 1)),
-                    disp: 0,
-                },
-            },
-            Inst::Ret,
-        ]);
-        let cl = classify_function(&code, MEM_SIZE).unwrap();
-        let got: Vec<InstClass> = cl.iter().map(|c| c.class).collect();
-        assert_eq!(
-            got,
-            vec![
-                InstClass::GuardCompare,
-                InstClass::GuardCompare,
-                InstClass::MemoryAccess,
-                InstClass::Compute,
-            ]
-        );
-    }
-
-    #[test]
-    fn ctx_compare_past_limit_table_stays_compute() {
-        // A compare against a context displacement beyond the limit table
-        // (64 + 8*8 = 128) is not a bounds check.
-        let code = bytes(&[
-            Inst::CmpRm {
-                w: W::W64,
-                d: Reg::RCX,
-                m: Mem::base(Reg::R15, 128),
-            },
-            Inst::Ret,
-        ]);
-        let cl = classify_function(&code, MEM_SIZE).unwrap();
-        assert_eq!(cl[0].class, InstClass::Compute);
-    }
-
-    #[test]
     fn stack_limit_compare_stays_compute() {
         // The prologue stack-overflow check compares against a different
         // context field; it must not count as a bounds check.
@@ -491,15 +422,15 @@ mod tests {
 
     #[test]
     fn hoisted_guard_with_register_homed_bound_is_guard() {
-        // The mid tier's preheader guard reads the bound from its home
-        // register (here r8, a caller-saved linear-scan home):
-        // mov r11d, r8d; sub r11, 1; cmp r11, 7FFFFFFF; ja; shl r11, 2;
+        // `Full`'s preheader guard reads the bound from the register the
+        // local is pinned in (here r12):
+        // mov r11d, r12d; sub r11, 1; cmp r11, 7FFFFFFF; ja; shl r11, 2;
         // add r11, 8; cmp r11, [r15+8]; ja; then the fast body's access.
         let code = bytes(&[
             Inst::MovRr {
                 w: W::W32,
                 d: Reg::R11,
-                s: Reg::R8,
+                s: Reg::R12,
             },
             Inst::AluRi {
                 w: W::W64,

@@ -124,9 +124,9 @@ fn one_func_module(
 }
 
 /// `go(t, x) -> i32`: a read-modify-write on `a[t]` followed by a
-/// re-read — three same-address, same-extent accesses through local 0.
-/// The IR dataflow pass checks the first and elides the other two
-/// (`GvnElide`): the canonical redundant-guard shape.
+/// re-read — three same-address, same-extent accesses through local 0,
+/// the later two dominated by the first: the canonical redundant-check
+/// shape.
 pub fn rmw_module() -> Module {
     one_func_module(
         vec![ValType::I32, ValType::I32],
@@ -147,9 +147,8 @@ pub fn rmw_module() -> Module {
 }
 
 /// `go(t, x) -> i32`: store at `a[t]`, *redefine* `t` (`local.set`),
-/// store at the new `a[t]`. The redefinition kills the first guard's
-/// fact, so the second store must keep its own check — the kill-site
-/// shape the dataflow pass must honour.
+/// store at the new `a[t]`. The redefinition kills the first check's
+/// fact, so the second store must keep its own check.
 pub fn redefine_module() -> Module {
     one_func_module(
         vec![ValType::I32, ValType::I32],
@@ -173,9 +172,8 @@ pub fn redefine_module() -> Module {
 }
 
 /// `go(t, x) -> i32`: store at `a[t]`, `memory.grow`, store at `a[t]`
-/// again, read it back. The grow (an `IrOp::Call` in the IR) kills every
-/// guard fact, so the second store re-checks; the final read is then
-/// elided against the *second* store's guard.
+/// again, read it back. The grow is a call, so the second store
+/// re-checks; the final read is dominated by the *second* store's check.
 pub fn grow_between_module() -> Module {
     one_func_module(
         vec![ValType::I32, ValType::I32],

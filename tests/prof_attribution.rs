@@ -194,76 +194,3 @@ fn guard_self_time_drops_with_hoisting() {
         hoisted.guard_pct_resolved()
     );
 }
-
-/// Fused guards (mid tier + IR guard optimization) compare the index
-/// directly against the per-extent limit table — no address-setup `lea`
-/// precedes them — yet the profiler's classifier must still bucket the
-/// compare *and* its `jae` as GuardCompare, so fused checks keep showing
-/// up as bounds-check time rather than leaking into Compute.
-/// Deterministic: classifies real emitted code, no sampling involved.
-#[test]
-fn fused_guards_classify_as_guard_compare() {
-    let _profiler = profiler_lock();
-    use lb_jit::codegen::{compile_function, CompileParams, OptLevel};
-    use lb_verify::decode::decode_all;
-    use lb_verify::isa::{Cc, Inst, Reg, W};
-    use lb_verify::InstClass;
-
-    let module = common::rmw_module();
-    let meta = lb_wasm::validate(&module).expect("module validates");
-    let extents = lb_jit::dataflow::module_extents(&module);
-    let code = compile_function(
-        CompileParams {
-            module: &module,
-            metas: &meta.funcs,
-            strategy: BoundsStrategy::Trap,
-            opt: OptLevel::Mid,
-            safepoints: false,
-            funcptrs_base: 0,
-            plans: None,
-            guardopt: true,
-            limit_extents: &extents,
-        },
-        0,
-    );
-    let classes = lb_verify::classify_function(&code, 8).expect("emitted code classifies");
-    let insts = decode_all(&code).expect("emitted code decodes");
-    assert_eq!(classes.len(), insts.len());
-
-    let mut fused_cmps = 0;
-    for (i, ((_, inst), cl)) in insts.iter().zip(&classes).enumerate() {
-        let is_limit_cmp = matches!(
-            inst,
-            Inst::CmpRm { w: W::W64, m, .. }
-                if m.base == Reg::R15
-                    && m.index.is_none()
-                    && (64..128).contains(&m.disp)
-                    && (m.disp - 64) % 8 == 0
-        );
-        if !is_limit_cmp {
-            continue;
-        }
-        fused_cmps += 1;
-        assert_eq!(
-            cl.class,
-            InstClass::GuardCompare,
-            "fused limit compare at offset {} must attribute as a guard",
-            cl.offset
-        );
-        let next = &classes[i + 1];
-        assert!(
-            matches!(insts[i + 1].1, Inst::Jcc { cc: Cc::Ae, .. }),
-            "a fused compare is followed by its jae"
-        );
-        assert_eq!(
-            next.class,
-            InstClass::GuardCompare,
-            "the fused guard's jae at offset {} must attribute as a guard",
-            next.offset
-        );
-    }
-    assert!(
-        fused_cmps > 0,
-        "the rmw module under guardopt must contain fused guards"
-    );
-}

@@ -222,9 +222,6 @@ fn verify(ctx: &Ctx<'_>, code: &[u8]) -> lb_verify::FuncReport {
         plan: None,
         mem_min_bytes: ctx.mem_min_bytes,
         reserve_bytes: lb_core::DEFAULT_RESERVE_BYTES as u64,
-        homes: None,
-        limit_extents: None,
-        guardopt: None,
     })
 }
 
@@ -254,8 +251,6 @@ fn validator_detects_safety_breaking_mutants() {
                 safepoints: false,
                 funcptrs_base: 0,
                 plans: None,
-                guardopt: false,
-                limit_extents: &[],
             };
             for di in 0..module.functions.len() {
                 let code = compile_function(params, di);
@@ -329,7 +324,7 @@ fn validator_detects_safety_breaking_mutants() {
 /// on its unique `cmp r11, 0x7FFF_FFFF` range pre-check.
 struct HoistGuardSpans {
     /// `(offset, len, inst)` of the bound load into r11 — `mov r11d, reg`
-    /// when the bound local lives in a register home, `mov r11d,
+    /// when the bound local is pinned in a register, `mov r11d,
     /// [rbp+disp]` when it is read from its spill slot.
     bound: Option<(usize, usize, Inst)>,
     /// `(offset, len)` of the optional `add r11, addend`, plus whether
@@ -430,11 +425,11 @@ fn find_hoist_guards(spans: &[(usize, usize, Inst)]) -> Vec<HoistGuardSpans> {
 ///   version selection is swapped, so a failing guard falls through into
 ///   the check-free fast copy instead of the per-access-checked slow one.
 /// * `regalloc-bound-reg-swap` — read the guard's bound from a different
-///   register home: the shape of a register allocator assigning (or
-///   clobbering into) the wrong home, so the guard proves a bound the
-///   loop never uses.
+///   register (the bound local is pinned at `Full`): the shape of a
+///   register allocator assigning (or clobbering into) the wrong
+///   register, so the guard proves a bound the loop never uses.
 /// * `regalloc-slot-swap` — repoint a spill-slot bound load one frame
-///   slot down: the allocator-bug analogue for slot-homed bounds.
+///   slot down: the allocator-bug analogue for slot-resident bounds.
 fn enumerate_hoist_mutants(code: &[u8], spans: &[(usize, usize, Inst)]) -> Vec<Mutant> {
     let mut out = Vec::new();
     for g in find_hoist_guards(spans) {
@@ -467,8 +462,8 @@ fn enumerate_hoist_mutants(code: &[u8], spans: &[(usize, usize, Inst)]) -> Vec<M
         match g.bound {
             Some((boff, blen, Inst::MovRr { w, d, s })) => {
                 // Clobbered guard register: read the bound from the
-                // neighboring register (rbx↔rdx, r12↔r13, r8↔r9 — all
-                // stay valid encodings of the same length).
+                // neighboring register (rbx↔rdx, r12↔r13 — both stay
+                // valid encodings of the same length).
                 let mut patched = Vec::new();
                 lb_verify::isa::encode(
                     &Inst::MovRr {
@@ -514,294 +509,6 @@ fn enumerate_hoist_mutants(code: &[u8], spans: &[(usize, usize, Inst)]) -> Vec<M
     out
 }
 
-/// The fused-guard compare: `cmp r, [r15 + MEM_LIMITS + 8*slot]`, 64-bit.
-fn is_limit_cmp(inst: &Inst) -> bool {
-    matches!(
-        inst,
-        Inst::CmpRm { w: W::W64, m, .. }
-            if m.base == Reg::R15
-                && m.index.is_none()
-                && (64..128).contains(&m.disp)
-                && (m.disp - 64) % 8 == 0
-    )
-}
-
-/// A bounds compare + its trap branch in compiled code: the classic
-/// `cmp r11, [r15+8]; ja` or the fused `cmp reg, [r15+64+8*slot]; jae`.
-struct BoundsPair {
-    cmp_off: usize,
-    cmp_len: usize,
-    ja_off: usize,
-    ja_len: usize,
-    rel: i32,
-    fused: bool,
-}
-
-fn find_bounds_pairs(spans: &[(usize, usize, Inst)]) -> Vec<BoundsPair> {
-    let mut out = Vec::new();
-    for (i, &(off, len, inst)) in spans.iter().enumerate() {
-        let fused = is_limit_cmp(&inst);
-        if !fused && !is_guard_cmp(&inst) {
-            continue;
-        }
-        if let Some(&(ja_off, ja_len, Inst::Jcc { cc, rel })) = spans.get(i + 1) {
-            if (fused && cc == Cc::Ae) || (!fused && cc == Cc::A) {
-                out.push(BoundsPair {
-                    cmp_off: off,
-                    cmp_len: len,
-                    ja_off,
-                    ja_len,
-                    rel,
-                    fused,
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Corruption classes for the guard-optimizing mid tier, all requiring
-/// the verifier to re-derive machine facts rather than trust the IR
-/// pass's decisions:
-///
-/// * `fused-cc-weaken` — `jae` → `ja` on the *first* fused guard: the
-///   off-by-one the fused encoding exists to avoid (`addr == limit`
-///   passes, making `addr + extent == mem_size + 1`). First guard, so no
-///   earlier fact can legitimately cover the access.
-/// * `fused-cc-flip` — `jae` → `jb` on the first fused guard: in-bounds
-///   indices trap, out-of-bounds indices fall through to the access.
-/// * `fused-target-rel` — corrupt a fused guard's branch displacement to
-///   a mid-instruction target (kept only when it is not an instruction
-///   boundary, as for `guard-ja-rel`).
-/// * `gvn-fact-forge` — NOP the function's first bounds check (classic or
-///   fused) and *forge* a `GvnElide` decision for its site: the shape of
-///   a dominance bug in the IR pass. The verifier must refuse the elision
-///   because no dominating machine fact exists.
-/// * `kill-site-ignore` — in a module whose address local is *redefined*
-///   between two stores, NOP the second store's check and forge
-///   `GvnElide` for it: the shape of the pass ignoring a `local.set`
-///   kill. The redefined address is a different machine symbol, so no
-///   fact covers it.
-#[test]
-fn validator_detects_fused_guard_corruption() {
-    use lb_analysis::GuardOpt;
-
-    let mut by_class: std::collections::BTreeMap<&'static str, (u64, u64)> =
-        std::collections::BTreeMap::new();
-    let mut survivors: Vec<String> = Vec::new();
-
-    let mut modules: Vec<(String, lb_wasm::Module)> = lb_polybench::NAMES
-        .iter()
-        .map(|n| {
-            let b = lb_polybench::by_name(n, lb_polybench::Dataset::Mini).expect("known kernel");
-            ((*n).to_string(), b.module)
-        })
-        .collect();
-    modules.push(("rmw".into(), common::rmw_module()));
-    modules.push(("redefine".into(), common::redefine_module()));
-
-    for (name, module) in &modules {
-        let meta = lb_wasm::validate(module).expect("module validates");
-        let extents = lb_jit::dataflow::module_extents(module);
-        let mem_min_bytes = module
-            .memory
-            .as_ref()
-            .map_or(0, |m| u64::from(m.limits.min) * PAGE_SIZE as u64);
-        // Plan withheld: every site reaches the IR pass as `Emit`, the
-        // densest fusion coverage (mirrors `guardopt_bench`).
-        let params = CompileParams {
-            module,
-            metas: &meta.funcs,
-            strategy: BoundsStrategy::Trap,
-            opt: OptLevel::Mid,
-            safepoints: false,
-            funcptrs_base: 0,
-            plans: None,
-            guardopt: true,
-            limit_extents: &extents,
-        };
-        for di in 0..module.functions.len() {
-            let code = compile_function(params, di);
-            let body = &module.functions[di].body;
-            let homes: Option<Vec<(u32, u8)>> = Some(
-                lb_jit::regalloc::allocate(module, &meta.funcs[di], body, None)
-                    .homes()
-                    .iter()
-                    .map(|&(l, r)| (l, r.0))
-                    .collect(),
-            );
-            let decisions = lb_jit::dataflow::decide(module, &meta.funcs[di], body, None, &extents);
-            let verify = |code: &[u8], decisions: Vec<(u32, GuardOpt)>| {
-                verify_function(&FuncInput {
-                    func_index: di,
-                    code,
-                    body,
-                    meta: &meta.funcs[di],
-                    strategy: BoundsStrategy::Trap,
-                    plan: None,
-                    mem_min_bytes,
-                    reserve_bytes: lb_core::DEFAULT_RESERVE_BYTES as u64,
-                    homes: homes.clone(),
-                    limit_extents: Some(extents.clone()),
-                    guardopt: Some(decisions),
-                })
-            };
-            let clean = verify(&code, decisions.clone());
-            assert!(
-                clean.findings.is_empty(),
-                "{name} func {di}: unmutated guardopt code must verify: {}",
-                clean
-                    .findings
-                    .iter()
-                    .map(|f| f.to_string())
-                    .collect::<Vec<_>>()
-                    .join("; ")
-            );
-
-            let spans = decode_spans(&code);
-            let boundaries: std::collections::HashSet<usize> =
-                spans.iter().map(|&(off, ..)| off).collect();
-            let pairs = find_bounds_pairs(&spans);
-            let sites =
-                lb_verify::expected_sites(body, &meta.funcs[di], BoundsStrategy::Trap, None);
-
-            let mut mutants: Vec<(Mutant, Vec<(u32, GuardOpt)>)> = Vec::new();
-            // The first bounds check guards the function's first access:
-            // nothing earlier can cover it, so its corruption is always a
-            // genuine (and detectable) sandbox hole.
-            if let Some(first) = pairs.first() {
-                if first.fused {
-                    mutants.push((
-                        Mutant {
-                            class: "fused-cc-weaken",
-                            // 0F 83 (jae) -> 0F 87 (ja).
-                            patches: vec![(first.ja_off + 1, vec![code[first.ja_off + 1] ^ 0x04])],
-                        },
-                        decisions.clone(),
-                    ));
-                    mutants.push((
-                        Mutant {
-                            class: "fused-cc-flip",
-                            // 0F 83 (jae) -> 0F 82 (jb).
-                            patches: vec![(first.ja_off + 1, vec![code[first.ja_off + 1] ^ 0x01])],
-                        },
-                        decisions.clone(),
-                    ));
-                }
-                if let Some(site) = sites.first() {
-                    let pc = site.pc as u32;
-                    let mut forged: Vec<(u32, GuardOpt)> = decisions
-                        .iter()
-                        .copied()
-                        .filter(|&(p, _)| p != pc)
-                        .collect();
-                    forged.push((pc, GuardOpt::GvnElide));
-                    mutants.push((
-                        Mutant {
-                            class: "gvn-fact-forge",
-                            patches: vec![
-                                nop_patch(first.cmp_off, first.cmp_len),
-                                nop_patch(first.ja_off, first.ja_len),
-                            ],
-                        },
-                        forged,
-                    ));
-                }
-            }
-            // Branch-displacement corruption is structural (the CFG no
-            // longer decodes), so it applies to every fused guard.
-            for p in pairs.iter().filter(|p| p.fused).take(MUTANTS_PER_CLASS) {
-                let new_rel = p.rel ^ 0x15;
-                let new_target = (p.ja_off + p.ja_len) as i64 + i64::from(new_rel);
-                if new_target < 0
-                    || new_target >= code.len() as i64
-                    || !boundaries.contains(&(new_target as usize))
-                {
-                    mutants.push((
-                        Mutant {
-                            class: "fused-target-rel",
-                            patches: vec![(p.ja_off + 2, vec![(new_rel & 0xFF) as u8])],
-                        },
-                        decisions.clone(),
-                    ));
-                }
-            }
-            // The kill-site class lives in the redefinition module: its
-            // second store's address was redefined by a `local.set`, so
-            // the pass must not have elided it — and a forged elision
-            // there must fail to re-prove.
-            if name == "redefine" {
-                assert!(
-                    decisions.iter().all(|&(_, d)| d != GuardOpt::GvnElide),
-                    "redefine: the local.set kill must block every IR elision"
-                );
-                if let (Some(second), Some(site)) = (pairs.get(1), sites.get(1)) {
-                    let pc = site.pc as u32;
-                    let mut forged: Vec<(u32, GuardOpt)> = decisions
-                        .iter()
-                        .copied()
-                        .filter(|&(p, _)| p != pc)
-                        .collect();
-                    forged.push((pc, GuardOpt::GvnElide));
-                    mutants.push((
-                        Mutant {
-                            class: "kill-site-ignore",
-                            patches: vec![
-                                nop_patch(second.cmp_off, second.cmp_len),
-                                nop_patch(second.ja_off, second.ja_len),
-                            ],
-                        },
-                        forged,
-                    ));
-                }
-            }
-            if name == "rmw" {
-                assert!(
-                    decisions
-                        .iter()
-                        .filter(|&&(_, d)| d == GuardOpt::GvnElide)
-                        .count()
-                        >= 2,
-                    "rmw: the pass must elide the dominated same-address accesses"
-                );
-            }
-
-            for (mutant, forged) in mutants {
-                let mut mutated = code.clone();
-                for (at, bytes) in &mutant.patches {
-                    mutated[*at..*at + bytes.len()].copy_from_slice(bytes);
-                }
-                let report = verify(&mutated, forged);
-                let e = by_class.entry(mutant.class).or_insert((0, 0));
-                e.0 += 1;
-                if report.findings.is_empty() {
-                    survivors.push(format!("{name} func {di}: {}", mutant.class));
-                } else {
-                    e.1 += 1;
-                }
-            }
-        }
-    }
-
-    for class in [
-        "fused-cc-weaken",
-        "fused-cc-flip",
-        "fused-target-rel",
-        "gvn-fact-forge",
-        "kill-site-ignore",
-    ] {
-        let (total, detected) = by_class.get(class).copied().unwrap_or((0, 0));
-        println!("  {class}: {detected}/{total}");
-        assert!(total > 0, "{class}: no mutants generated");
-        assert_eq!(
-            detected,
-            total,
-            "{class}: fused-guard corruption must be detected 100% — survivors:\n{}",
-            survivors.join("\n")
-        );
-    }
-}
-
 /// Every corruption of the hoisted-guard machinery must be flagged: the
 /// fast loop body carries no per-access checks, so a broken preheader
 /// guard is a sandbox escape with nothing downstream to catch it.
@@ -824,7 +531,7 @@ fn validator_detects_hoisted_guard_corruption() {
             .map_or(0, |m| u64::from(m.limits.min) * PAGE_SIZE as u64);
 
         for strategy in [BoundsStrategy::Trap, BoundsStrategy::Clamp] {
-            for opt in [OptLevel::Basic, OptLevel::Mid, OptLevel::Full] {
+            for opt in [OptLevel::Basic, OptLevel::Full] {
                 let params = CompileParams {
                     module,
                     metas: &meta.funcs,
@@ -833,25 +540,9 @@ fn validator_detects_hoisted_guard_corruption() {
                     safepoints: false,
                     funcptrs_base: 0,
                     plans: Some(&plan),
-                    guardopt: false,
-                    limit_extents: &[],
                 };
                 for di in 0..module.functions.len() {
                     let code = compile_function(params, di);
-                    // The mid tier's register homes, recomputed exactly as
-                    // the verifier-in-the-JIT does.
-                    let homes: Option<Vec<(u32, u8)>> = (opt == OptLevel::Mid).then(|| {
-                        lb_jit::regalloc::allocate(
-                            module,
-                            &meta.funcs[di],
-                            &module.functions[di].body,
-                            Some(&plan.funcs[di]),
-                        )
-                        .homes()
-                        .iter()
-                        .map(|&(l, r)| (l, r.0))
-                        .collect()
-                    });
                     let clean = verify_function(&FuncInput {
                         func_index: di,
                         code: &code,
@@ -861,9 +552,6 @@ fn validator_detects_hoisted_guard_corruption() {
                         plan: Some(&plan.funcs[di]),
                         mem_min_bytes,
                         reserve_bytes: lb_core::DEFAULT_RESERVE_BYTES as u64,
-                        homes: homes.clone(),
-                        limit_extents: None,
-                        guardopt: None,
                     });
                     assert!(
                         clean.findings.is_empty(),
@@ -884,9 +572,6 @@ fn validator_detects_hoisted_guard_corruption() {
                             plan: Some(&plan.funcs[di]),
                             mem_min_bytes,
                             reserve_bytes: lb_core::DEFAULT_RESERVE_BYTES as u64,
-                            homes: homes.clone(),
-                            limit_extents: None,
-                            guardopt: None,
                         });
                         let e = by_class.entry(mutant.class).or_insert((0, 0));
                         e.0 += 1;
