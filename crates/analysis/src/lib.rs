@@ -1153,6 +1153,64 @@ fn collect_written_locals(nodes: &[Node], body: &[Instr], out: &mut Vec<u32>) {
     }
 }
 
+/// The widening thresholds for one function: every i32 constant that
+/// reaches an i32 comparison operand, plus `c + 1`. A constant reaches one
+/// when it is directly an operand of an `i32.{eq,ne,lt,gt,le,ge}`, or when
+/// it is stored in an i32 local all of whose `local.set`/`local.tee`s store
+/// constants (a loop-bound local; a declared local's zero-initialization
+/// counts as a store). Constants no comparison reads — multipliers, masks,
+/// shift amounts — cannot be a loop bound, and each extra threshold below
+/// a bound costs one more probe of the loop body per widening step.
+fn widening_thresholds(fmeta: &FuncMeta, body: &[Instr]) -> Vec<u64> {
+    use Instr::*;
+    let height = |pc: usize| fmeta.height_at.get(pc).map_or(0, |&h| h as usize);
+    // The constant in each operand-stack slot, if it holds one, kept in
+    // step with the validator's per-pc stack heights.
+    let mut slots: Vec<Option<u32>> = Vec::new();
+    // Per local, the constants it stores while every store is a constant.
+    let n_params = fmeta.n_params as usize;
+    let mut stores: Vec<Option<Vec<u32>>> = fmeta
+        .local_types
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| (t == ValType::I32).then(|| if i < n_params { vec![] } else { vec![0] }))
+        .collect();
+    let mut out = Vec::new();
+    for (pc, ins) in body.iter().enumerate() {
+        match ins {
+            I32Eq | I32Ne | I32LtS | I32LtU | I32GtS | I32GtU | I32LeS | I32LeU | I32GeS
+            | I32GeU => out.extend(slots.iter().rev().take(2).flatten()),
+            LocalSet(l) | LocalTee(l) => {
+                if let Some(s) = stores.get_mut(*l as usize) {
+                    match (s.as_mut(), slots.last().copied().flatten()) {
+                        (Some(v), Some(c)) => v.push(c),
+                        _ => *s = None,
+                    }
+                }
+            }
+            _ => {}
+        }
+        slots.resize(height(pc + 1), None);
+        // Only `i32.const` leaves a constant on top. (After an instruction
+        // that pushes nothing this also forgets the value below, which no
+        // comparison operand in straight-line code can be.)
+        if let Some(top) = slots.last_mut() {
+            *top = match ins {
+                I32Const(c) => Some(*c as u32),
+                _ => None,
+            };
+        }
+    }
+    out.extend(stores.into_iter().flatten().flatten());
+    let mut thresholds: Vec<u64> = out
+        .into_iter()
+        .flat_map(|c| [u64::from(c), (u64::from(c) + 1).min(U32_MAX)])
+        .collect();
+    thresholds.sort_unstable();
+    thresholds.dedup();
+    thresholds
+}
+
 // ────────────────────────────────── control frames ───────────────────────
 
 struct Frame {
@@ -1194,7 +1252,7 @@ struct Analyzer<'m> {
     body: &'m [Instr],
     mem_min: u64,
     mem_max: u64,
-    /// Widening thresholds harvested from the function's i32 constants.
+    /// Widening thresholds ([`widening_thresholds`]).
     thresholds: Vec<u64>,
     kinds: Vec<CheckKind>,
     summary: FuncSummary,
@@ -1279,15 +1337,7 @@ impl<'m> Analyzer<'m> {
     fn run_collect(mut self, body: &'m [Instr]) -> (FuncPlan, Vec<(u32, Vec<(u64, u64)>)>) {
         self.body = body;
         self.kinds = vec![CheckKind::Emit; body.len()];
-        for i in body {
-            if let Instr::I32Const(c) = i {
-                let c = u64::from(*c as u32);
-                self.thresholds.push(c);
-                self.thresholds.push((c + 1).min(U32_MAX));
-            }
-        }
-        self.thresholds.sort_unstable();
-        self.thresholds.dedup();
+        self.thresholds = widening_thresholds(self.fmeta, body);
 
         let n_params = self.fmeta.n_params as usize;
         self.param_written = vec![false; n_params];
@@ -3173,6 +3223,80 @@ mod tests {
         assert_eq!(plan.summary.accesses, 1);
         assert_eq!(plan.summary.elided_in_bounds, 1, "{:?}", plan.summary);
         assert_eq!(probes.get(), 152);
+    }
+
+    #[test]
+    fn unrelated_constants_cost_no_probes() {
+        // Constants no comparison reads are not widening thresholds, so
+        // they add no widening steps. When every i32 constant was a
+        // threshold, the counters climbed through 5, 6, 7, 9, 10, 11 one
+        // probe at a time: this nest took 516 probes with the unrelated
+        // constants and 356 without (the shift amount 2 was a step too).
+        let bounds = [4, 8, 16];
+        let nest = |junk: &[i32]| {
+            let mut body: Vec<Instr> = junk
+                .iter()
+                .flat_map(|&c| [Instr::I32Const(c), Instr::Drop])
+                .collect();
+            body.extend(counted_nest(&bounds));
+            body
+        };
+        let probes_for = |body: Vec<Instr>| {
+            let (m, meta) = mk(&[], &[I32; 6], 1, body);
+            let mem = PAGE_SIZE as u64;
+            let a = Analyzer::new(&m, &meta.funcs[0], mem, mem, true, &[], None);
+            let probes = std::rc::Rc::clone(&a.probes);
+            let plan = a.run(&m.functions[0].body);
+            assert_eq!(plan.summary.elided_in_bounds, 1, "{:?}", plan.summary);
+            probes.get()
+        };
+        let plain = probes_for(nest(&[]));
+        let noisy = probes_for(nest(&[5, 6, 7, 9, 10, 11, 64, 95, 159, 1 << 30]));
+        assert_eq!((plain, noisy), (355, 355));
+    }
+
+    #[test]
+    fn thresholds_are_constants_a_comparison_reads() {
+        // Param 0 is compared; local 1 stores only constants; local 2
+        // stores one constant and one computed value.
+        use Instr::*;
+        let body = vec![
+            I32Const(10),
+            LocalSet(1),
+            I32Const(20),
+            LocalTee(1),
+            Drop,
+            I32Const(30),
+            LocalSet(2),
+            LocalGet(0),
+            LocalSet(2),
+            // A direct second operand and a direct first operand (with a
+            // computed second operand whose own constant is not compared).
+            LocalGet(0),
+            I32Const(40),
+            I32LtU,
+            Drop,
+            I32Const(50),
+            LocalGet(0),
+            I32Const(3),
+            I32Add,
+            I32GtS,
+            Drop,
+            // Constants a comparison reads only after other arithmetic.
+            I32Const(60),
+            I32Const(70),
+            I32Mul,
+            Drop,
+            I32Const(80),
+            I32Eqz,
+            LocalGet(0),
+            I32LtU,
+            Drop,
+            End,
+        ];
+        let (m, meta) = mk(&[I32], &[I32, I32], 1, body);
+        let t = widening_thresholds(&meta.funcs[0], &m.functions[0].body);
+        assert_eq!(t, [0, 1, 10, 11, 20, 21, 40, 41, 50, 51]);
     }
 
     #[test]

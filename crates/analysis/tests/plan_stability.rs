@@ -3,11 +3,21 @@
 //!
 //! Each line of `plan_digests.tsv` holds the FNV-1a-64 digest of
 //! `format!("{:?}", plan)` for one (module, config) pair, over the 30
-//! PolyBench kernels and the 7 SPEC proxies at Mini scale and all four
-//! [`AnalysisConfig`] combinations. Each workload's plan comes out the
-//! same under all four configurations, so a synthetic module whose plans
-//! differ per configuration ([`callgraph_module`]) rides along. A change
-//! that only makes the analysis cheaper must leave every digest
+//! PolyBench kernels and the 7 SPEC proxies and all four
+//! [`AnalysisConfig`] combinations, at Mini scale and again at Small
+//! scale (module names suffixed `@small`; the benchmark's `kernels`
+//! workload analyzes these). Each workload's plan comes out the same
+//! under all four configurations, so a synthetic module whose plans
+//! differ per configuration ([`callgraph_module`]) rides along at Mini.
+//! The Small check analyzes x264 at Small four times, which is only
+//! practical in release builds, so it is `#[ignore]`d and run by name:
+//!
+//! ```text
+//! cargo test --release -p lb-analysis --test plan_stability -- --ignored \
+//!     small_plans_match_recorded_digests
+//! ```
+//!
+//! A change that only makes the analysis cheaper must leave every digest
 //! untouched; a change that deliberately alters plans must regenerate
 //! the file and justify each moved line:
 //!
@@ -169,15 +179,26 @@ fn callgraph_module() -> Module {
     m
 }
 
-/// One TSV line per (module, config): `suite/name<TAB>config<TAB>digest`.
-fn current_digests() -> Vec<String> {
-    let mut benches = lb_polybench::all(lb_polybench::Dataset::Mini);
-    benches.extend(lb_spec_proxy::all(lb_spec_proxy::Scale::Mini));
+/// One TSV line per (module, config): `suite/name<TAB>config<TAB>digest`,
+/// the name suffixed `@small` at Small scale.
+fn current_digests(small: bool) -> Vec<String> {
+    let (mut benches, suffix) = if small {
+        (lb_polybench::all(lb_polybench::Dataset::Small), "@small")
+    } else {
+        (lb_polybench::all(lb_polybench::Dataset::Mini), "")
+    };
+    benches.extend(lb_spec_proxy::all(if small {
+        lb_spec_proxy::Scale::Small
+    } else {
+        lb_spec_proxy::Scale::Mini
+    }));
     let mut modules: Vec<(String, Module)> = benches
         .into_iter()
-        .map(|b| (format!("{}/{}", b.suite, b.name), b.module))
+        .map(|b| (format!("{}/{}{suffix}", b.suite, b.name), b.module))
         .collect();
-    modules.push(("synthetic/callgraph".into(), callgraph_module()));
+    if !small {
+        modules.push(("synthetic/callgraph".into(), callgraph_module()));
+    }
     let mut lines = Vec::new();
     for (name, module) in &modules {
         let meta = lb_wasm::validate(module).expect("module validates");
@@ -190,13 +211,14 @@ fn current_digests() -> Vec<String> {
     lines
 }
 
-#[test]
-fn plans_match_recorded_digests() {
+/// Compares the recorded lines of one scale against the current plans.
+fn check_digests(small: bool) {
     let golden: Vec<&str> = GOLDEN
         .lines()
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .filter(|l| l.split('\t').next().is_some_and(|m| m.ends_with("@small")) == small)
         .collect();
-    let current = current_digests();
+    let current = current_digests(small);
     assert_eq!(
         golden.len(),
         current.len(),
@@ -219,12 +241,25 @@ fn plans_match_recorded_digests() {
     );
 }
 
+#[test]
+fn plans_match_recorded_digests() {
+    check_digests(false);
+}
+
+#[test]
+#[ignore = "release-only: Small analysis"]
+fn small_plans_match_recorded_digests() {
+    check_digests(true);
+}
+
 /// Prints the digest file body (see the module docs for regeneration).
 #[test]
 #[ignore]
 fn print_plan_digests() {
     println!("# FNV-1a-64 of format!(\"{{:?}}\", ModulePlan): module<TAB>config<TAB>digest");
-    for line in current_digests() {
-        println!("{line}");
+    for small in [false, true] {
+        for line in current_digests(small) {
+            println!("{line}");
+        }
     }
 }

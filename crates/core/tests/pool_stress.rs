@@ -18,8 +18,9 @@
 use lb_chaos::SplitMix64;
 use lb_core::pool::{self, MemoryPoolConfig};
 use lb_core::{BoundsStrategy, LinearMemory, MemoryConfig, WASM_PAGE};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
+use std::time::{Duration, Instant};
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -125,13 +126,18 @@ fn seeded_interleaving_stress_keeps_pool_coherent() {
 /// `drain` concurrent with a stream of releases: once the releasing
 /// thread has joined, a single drain call must evict every parked entry
 /// — the multi-pass sweep guarantees no entry slips behind the cursor.
+/// The drains continue until the releaser has released at least once
+/// (within a deadline), so the race runs even when the releaser is
+/// scheduled late.
 #[test]
 fn drain_racing_release_leaves_nothing_behind() {
     let _t = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _p = PoolGuard::enable(8, false);
     let stop = Arc::new(AtomicBool::new(false));
+    let progress = Arc::new(AtomicU32::new(0));
     let releaser = {
         let stop = Arc::clone(&stop);
+        let progress = Arc::clone(&progress);
         std::thread::spawn(move || {
             let mut n = 0u32;
             while !stop.load(Ordering::Acquire) {
@@ -144,12 +150,16 @@ fn drain_racing_release_leaves_nothing_behind() {
                 m.write_bytes(0, &[1; 16]).expect("write");
                 drop(m);
                 n += 1;
+                progress.store(n, Ordering::Release);
             }
             n
         })
     };
-    for _ in 0..200 {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut drains = 0;
+    while drains < 200 || (progress.load(Ordering::Acquire) == 0 && Instant::now() < deadline) {
         pool::drain();
+        drains += 1;
     }
     stop.store(true, Ordering::Release);
     let released = releaser.join().expect("releaser lives");

@@ -19,8 +19,11 @@
 //!   index plus static offset fits inside the guard-region reservation —
 //!   the None / Mprotect / Uffd strategies;
 //! * a **re-checked elision**: the site is covered by an `lb-analysis`
-//!   plan entry whose static proof the verifier re-derives, or by an
-//!   earlier (stale) guard fact that still covers it.
+//!   plan entry whose static proof the verifier re-derives.
+//!
+//! A site the plan leaves as `Emit` must carry its own check: an earlier
+//! (stale) guard fact that still covers it is reported, since codegen
+//! emits a check at every such site.
 
 mod absint;
 pub mod classify;
@@ -414,16 +417,24 @@ fn classify_emit(
                     );
                 }
                 IdxObs::Sym { add, fact, .. } => match fact {
-                    Some((covered, fresh)) if *covered >= add + disp + bytes => {
-                        if *fresh {
-                            // Guarded at this site (the check codegen just
-                            // emitted).
-                            report.proven_guarded += 1;
-                        } else {
-                            // Covered by an earlier check that still holds.
-                            report.proven_elided += 1;
-                        }
+                    // Guarded at this site (the check codegen just emitted).
+                    Some((covered, true)) if *covered >= add + disp + bytes => {
+                        report.proven_guarded += 1;
                     }
+                    // Codegen emits a check at every `Emit` site, so an
+                    // earlier check that still covers the access means
+                    // this site's own check is missing.
+                    Some((_, false)) => finding(
+                        report,
+                        input,
+                        obs.off,
+                        FindingKind::UnguardedAccess {
+                            detail: format!(
+                                "only an earlier check covers the access at wasm pc {}",
+                                site.pc
+                            ),
+                        },
+                    ),
                     Some((covered, _)) => finding(
                         report,
                         input,
@@ -446,17 +457,11 @@ fn classify_emit(
                     ),
                 },
                 IdxObs::Const { v, fact } => {
-                    // A constant address: a guard fact covering it, or a
-                    // static bound against the declared minimum.
+                    // A constant address: this site's own check covering
+                    // it, or a static bound against the declared minimum.
                     let need = v + disp + bytes;
                     match fact {
-                        Some((covered, fresh)) if *covered >= need => {
-                            if *fresh {
-                                report.proven_guarded += 1;
-                            } else {
-                                report.proven_elided += 1;
-                            }
-                        }
+                        Some((covered, true)) if *covered >= need => report.proven_guarded += 1,
                         _ if need <= input.mem_min_bytes => report.proven_guarded += 1,
                         _ => finding(
                             report,

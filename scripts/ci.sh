@@ -15,6 +15,9 @@
 #   7. serving smoke: a short closed-loop serve_bench run; every admitted
 #      request must resolve exactly once and the latency histogram must
 #      be populated
+#   8. plan identity at Small scale: every workload module's analysis plan
+#      must match its recorded digest (crates/analysis/tests/plan_digests.tsv);
+#      the Mini digests are already checked by step 2
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,5 +36,7 @@ run cargo run --release -p lb-bench --bin analysis_report -- \
 run env LB_PROF=sample:997 LB_PROF_OUT=target/prof-smoke \
   cargo run --release -p lb-bench --bin prof_report -- --smoke
 run cargo run --release -p lb-bench --bin serve_bench -- --smoke true
+run cargo test --release -p lb-analysis --test plan_stability -- --ignored \
+  small_plans_match_recorded_digests
 
 echo "==> ci.sh: all gates passed"

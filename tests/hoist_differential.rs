@@ -22,8 +22,16 @@ use lb_interp::InterpEngine;
 use lb_jit::{JitEngine, JitProfile};
 use lb_wasm::module::{Export, ExportKind, Function};
 use lb_wasm::{BlockType, FuncType, Instr, Limits, MemArg, MemoryType, Module, ValType, Value};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// The tests that compile code all compile with hoisting on, and the
+/// counters they read (`jit.checks.hoisted`, `jit.tierup.count`) are
+/// process-wide: each of them holds this lock, so they run one at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The engine matrix every differential test runs: interpreter (analysis
 /// on/off) against the `Full` tier with hoisting on and off and with the
@@ -111,9 +119,7 @@ fn agreed_among(
 /// `strategy` has swapped in the optimizing tier's code (`Full`, with
 /// safepoint polls): every instance made from it runs that code.
 fn tiered_up(module: &Module, strategy: BoundsStrategy) -> Arc<dyn LoadedModule> {
-    // `jit.tierup.count` is process-wide: wait for one tier-up at a time.
-    static TIER_UP: Mutex<()> = Mutex::new(());
-    let _one = TIER_UP.lock().unwrap_or_else(PoisonError::into_inner);
+    // The caller holds `serial()`, so this is the only tier-up running.
     let published = lb_telemetry::counter("jit.tierup.count");
     let before = published.get();
     let loaded = JitEngine::new(JitProfile::v8())
@@ -160,6 +166,7 @@ fn dynamic_bound_loop_is_hoisted() {
 /// Fast/slow selection at the exact guard boundary, under trap and clamp.
 #[test]
 fn versioned_loop_boundary_agrees() {
+    let _serial = serial();
     let m = dynamic_bound_module();
     dynamic_bound_sweep(|strategy, n, ctx| agreed(&m, strategy, n, ctx));
 }
@@ -169,6 +176,7 @@ fn versioned_loop_boundary_agrees() {
 /// the plan's versioned loop included) must not move a result or a trap.
 #[test]
 fn tiered_up_boundary_agrees() {
+    let _serial = serial();
     let m = dynamic_bound_module();
     let interp = InterpEngine::new().load(&m).expect("module loads");
     let trap = tiered_up(&m, BoundsStrategy::Trap);
@@ -223,6 +231,7 @@ fn dynamic_bound_sweep(agree: impl Fn(BoundsStrategy, i32, &str) -> String) {
 /// and none after — must be visible, identically on every engine.
 #[test]
 fn pre_trap_stores_visible_identically() {
+    let _serial = serial();
     pre_trap_stores_agree(&load_all(&peek_module()));
 }
 
@@ -230,6 +239,7 @@ fn pre_trap_stores_visible_identically() {
 /// interpreter.
 #[test]
 fn tiered_up_pre_trap_stores_visible_identically() {
+    let _serial = serial();
     let m = peek_module();
     let interp = InterpEngine::new().load(&m).expect("module loads");
     pre_trap_stores_agree(&[
@@ -304,6 +314,7 @@ fn pre_trap_stores_agree(loaded: &[(&str, Arc<dyn LoadedModule>)]) {
 /// analysis propagates (that loop needs no guard at all).
 #[test]
 fn multi_function_versioned_boundary_agrees() {
+    let _serial = serial();
     let m = multi_function_module();
     let meta = lb_wasm::validate(&m).unwrap();
 
@@ -345,6 +356,7 @@ fn multi_function_versioned_boundary_agrees() {
 /// zero with hoisting disabled.
 #[test]
 fn hoisted_counter_reports_fast_sites() {
+    let _serial = serial();
     let m = dynamic_bound_module();
     let hoisted = lb_telemetry::counter("jit.checks.hoisted");
     let run = |profile: JitProfile| {
@@ -464,6 +476,7 @@ fn call_crossing_module() -> Module {
 /// bounds up to the page edge, trapping one element past it.
 #[test]
 fn calls_preserve_pinned_locals() {
+    let _serial = serial();
     let m = call_crossing_module();
     let want = |n: i32| ((n ^ 0x5555) + 77 + 99 + (n + 1) + 3 * n) as u32;
     for strategy in [BoundsStrategy::Trap, BoundsStrategy::Clamp] {
@@ -533,6 +546,7 @@ fn spill_pressure_module() -> Module {
 /// the same sums as the reference engines.
 #[test]
 fn spill_pressure_agrees() {
+    let _serial = serial();
     let m = spill_pressure_module();
     for n in [0, 1, 2, 1000] {
         let got = agreed(&m, BoundsStrategy::Trap, n, "spill pressure");
@@ -575,6 +589,7 @@ fn with_peek(mut m: Module) -> Module {
 /// `local.set` moves the address between two stores).
 #[test]
 fn same_address_runs_boundary_agree() {
+    let _serial = serial();
     let rmw = rmw_module();
     let redefine = redefine_module();
     let go = |m: &Module, strategy, t: i32, ctx| {
@@ -624,6 +639,7 @@ fn same_address_runs_boundary_agree() {
 /// engine (a check traps before its access, never after).
 #[test]
 fn redefined_address_pre_trap_store_visible() {
+    let _serial = serial();
     let m = with_peek(redefine_module());
     let t = LAST_IN - 63; // first store lands, second (t+64) is oob
     let mut first: Option<(&str, Vec<String>)> = None;
@@ -658,6 +674,7 @@ fn redefined_address_pre_trap_store_visible() {
 /// `t` would have trapped — on every engine.
 #[test]
 fn memory_grow_between_accesses_agrees() {
+    let _serial = serial();
     let m = grow_between_module();
     let go = |t: i32, x: i32, ctx| {
         agreed_with(
