@@ -13,20 +13,15 @@
 //! * reconstructs the **structured control-flow tree** so dominating-check
 //!   facts survive joins (an `if/else` both of whose arms inherit a check
 //!   keeps it — unlike a per-basic-block peephole, which drops every
-//!   fact at every label), and are hoisted across loop
+//!   fact at every label), and are carried across loop
 //!   iterations via a widening/narrowing fixpoint at each loop header,
 //! * summarizes functions **interprocedurally**, bottom-up over the call
 //!   graph: caller argument intervals narrow an internal callee's
 //!   parameters, and a callee's constant return interval (`ret_iv`)
 //!   narrows call results in the caller; exported/escaping functions and
 //!   call-graph cycles conservatively stay at ⊤,
-//! * synthesizes **hoisted loop guards** ([`HoistPlan`]/[`GuardExpr`]):
-//!   when every remaining check in a loop is covered by one loop-invariant
-//!   symbolic bound, the JIT versions the loop behind a single preheader
-//!   guard — a check-free fast copy when the whole-loop bound fits in
-//!   memory, the original per-access-checked copy otherwise,
 //! * emits a per-instruction [`CheckKind`] plan (`Emit`, `ElideInBounds`,
-//!   `ElideDominated`, `ElideHoisted`, `StaticOob`) plus a per-function
+//!   `ElideDominated`, `StaticOob`) plus a per-function
 //!   access-footprint [`FuncSummary`] (max proven effective address,
 //!   minimum memory size that makes the function check-free).
 //!
@@ -53,12 +48,6 @@
 //!   consumed only when the dominator's coverage was itself *static*
 //!   (established by an `ElideInBounds` proof); [`FuncPlan::clamp_elidable`]
 //!   exposes exactly that set, and the JIT clamps the rest.
-//! * **Hoisted** (`ElideHoisted`) — the access sits in the fast copy of a
-//!   versioned loop whose preheader guard proved the whole-loop bound
-//!   `(bound_local << shift) + addend <= mem_size` (width-checked before
-//!   shifting, so the guard itself cannot wrap). The slow copy keeps every
-//!   per-access check, so trap timing and partial side effects are
-//!   identical to the unversioned loop. Valid under `trap` and `clamp`.
 //!
 //! `StaticOob` means the *smallest* possible effective address already
 //! exceeds the declared maximum memory: the access must trap on every
@@ -100,52 +89,6 @@ pub enum CheckKind {
     /// Proven out of bounds against the declared maximum memory size; the
     /// access traps unconditionally under trapping strategies.
     StaticOob,
-    /// Covered by a synthesized loop-preheader guard ([`HoistPlan`]): the
-    /// JIT emits the loop twice and skips this check only in the fast
-    /// copy entered when every guard passes. Consumers that do not
-    /// version (the interpreter, unversioned tiers) must treat this as
-    /// `Emit`.
-    ElideHoisted,
-}
-
-/// One synthesized loop-preheader guard. The guard passes iff
-///
-/// ```text
-/// bound' = bound_local - (strict ? 1 : 0)        (zero-extended u32)
-/// bound' <= 0x7FFF_FFFF
-///   && ((bound' << shift) + addend) <= mem_size  (64-bit arithmetic)
-/// ```
-///
-/// `bound_local` is loop-invariant, so its preheader value equals its
-/// value at every access the guard covers. The range pre-check makes the
-/// 64-bit bound computation exact (max `(2^31-1 << 31) + 2^31-1 < 2^62`)
-/// and conservatively routes huge/wrapping bounds to the slow copy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GuardExpr {
-    /// The loop-invariant local holding the (inclusive or exclusive)
-    /// bound on the access index.
-    pub bound_local: u32,
-    /// Whether the index is strictly below the bound (`i < bound`) or at
-    /// most it (`i <= bound`).
-    pub strict: bool,
-    /// Index scale: the access address is `(index << shift) + addend'`
-    /// with `addend' + extent <= addend`.
-    pub shift: u8,
-    /// Largest `addend + offset + size` over the covered accesses
-    /// (always `<= 0x7FFF_FFFF`).
-    pub addend: u64,
-}
-
-/// A loop the JIT should version: duplicate `loop_pc..=end_pc`, enter the
-/// check-free fast copy only when every guard in `guards` passes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HoistPlan {
-    /// pc of the `Loop` opcode.
-    pub loop_pc: u32,
-    /// pc of the loop's matching `End`.
-    pub end_pc: u32,
-    /// Guards to evaluate in the preheader (conjunction).
-    pub guards: Vec<GuardExpr>,
 }
 
 /// Knobs for [`analyze_module_with`].
@@ -154,16 +97,12 @@ pub struct AnalysisConfig {
     /// Propagate caller argument intervals and callee return intervals
     /// across `call` edges (module call graph, non-escaping callees only).
     pub interprocedural: bool,
-    /// Synthesize loop-preheader guards and classify covered accesses as
-    /// [`CheckKind::ElideHoisted`].
-    pub hoist: bool,
 }
 
 impl Default for AnalysisConfig {
     fn default() -> AnalysisConfig {
         AnalysisConfig {
             interprocedural: true,
-            hoist: true,
         }
     }
 }
@@ -179,9 +118,6 @@ pub struct FuncSummary {
     pub elided_dominated: u32,
     /// Accesses proven statically out of bounds.
     pub static_oob: u32,
-    /// Accesses covered by a synthesized loop-preheader guard (check-free
-    /// in the versioned fast body only).
-    pub elided_hoisted: u32,
     /// Accesses that still need their check.
     pub emitted: u32,
     /// Largest proven end-of-access effective address (`addr + offset +
@@ -208,8 +144,7 @@ pub struct FuncSummary {
 
 impl FuncSummary {
     /// Fraction of reachable accesses whose check is statically elided
-    /// (in-bounds or dominated) under the `trap` strategy. Hoisted
-    /// accesses are excluded: their check is gone only in the fast body.
+    /// (in-bounds or dominated) under the `trap` strategy.
     pub fn elision_ratio(&self) -> f64 {
         if self.accesses == 0 {
             return 0.0;
@@ -219,16 +154,14 @@ impl FuncSummary {
 }
 
 /// The plan for one defined function: a [`CheckKind`] per instruction
-/// index (memory accesses only; everything else stays `Emit`), the loops
-/// to version, and which dominated accesses stay elidable under `clamp`.
+/// index (memory accesses only; everything else stays `Emit`) and which
+/// dominated accesses stay elidable under `clamp`.
 #[derive(Debug, Clone)]
 pub struct FuncPlan {
     kinds: Vec<CheckKind>,
     /// pcs of `ElideDominated` accesses whose dominating fact was static
     /// (in-bounds against the declared minimum), sorted.
     clamp_ok: Vec<u32>,
-    /// Loops to version, sorted by `loop_pc`, non-overlapping.
-    hoists: Vec<HoistPlan>,
     /// Access-footprint summary.
     pub summary: FuncSummary,
 }
@@ -247,22 +180,6 @@ impl FuncPlan {
     #[inline]
     pub fn clamp_elidable(&self, pc: usize) -> bool {
         u32::try_from(pc).is_ok_and(|pc| self.clamp_ok.binary_search(&pc).is_ok())
-    }
-
-    /// The versioning plan for the loop whose `Loop` opcode is at
-    /// `loop_pc`, if any.
-    #[inline]
-    pub fn hoist_at(&self, loop_pc: u32) -> Option<&HoistPlan> {
-        self.hoists
-            .binary_search_by_key(&loop_pc, |h| h.loop_pc)
-            .ok()
-            .map(|i| &self.hoists[i])
-    }
-
-    /// All loops to version in this function.
-    #[inline]
-    pub fn hoists(&self) -> &[HoistPlan] {
-        &self.hoists
     }
 }
 
@@ -288,9 +205,7 @@ impl ModulePlan {
             .is_some_and(|f| f.kind_at(pc) == CheckKind::StaticOob)
     }
 
-    /// Module totals: `(accesses, elided, emitted, static_oob)`. Hoisted
-    /// accesses count as neither elided nor emitted (their check exists
-    /// in the slow loop copy only); see [`ModulePlan::total_hoisted`].
+    /// Module totals: `(accesses, elided, emitted, static_oob)`.
     pub fn totals(&self) -> (u64, u64, u64, u64) {
         let mut t = (0u64, 0u64, 0u64, 0u64);
         for f in &self.funcs {
@@ -301,18 +216,10 @@ impl ModulePlan {
         }
         t
     }
-
-    /// Total accesses covered by synthesized loop-preheader guards.
-    pub fn total_hoisted(&self) -> u64 {
-        self.funcs
-            .iter()
-            .map(|f| u64::from(f.summary.elided_hoisted))
-            .sum()
-    }
 }
 
 /// Analyze every defined function of a validated module with the default
-/// configuration (interprocedural propagation and guard hoisting on).
+/// configuration (interprocedural propagation on).
 pub fn analyze_module(module: &Module, meta: &ModuleMeta) -> ModulePlan {
     analyze_module_with(module, meta, &AnalysisConfig::default())
 }
@@ -357,7 +264,6 @@ pub fn analyze_module_with(module: &Module, meta: &ModuleMeta, cfg: &AnalysisCon
                 &meta.funcs[di],
                 mem_min_bytes,
                 mem_max_bytes,
-                false,
                 &ret_ivs,
                 None,
             )
@@ -417,7 +323,6 @@ pub fn analyze_module_with(module: &Module, meta: &ModuleMeta, cfg: &AnalysisCon
             &meta.funcs[di],
             mem_min_bytes,
             mem_max_bytes,
-            cfg.hoist,
             &ret_ivs,
             params.as_deref(),
         )
@@ -536,19 +441,15 @@ fn summary_order(callees: &[Vec<usize>], returns_i32: impl Fn(usize) -> bool) ->
 
 // ─────────────────────────────── abstract domain ─────────────────────────
 
-/// Symbolic provenance. When `exact`, `value == (local << shift) + addend`
-/// holds over the integers (no wrap anywhere in the chain). When inexact,
-/// only the congruence `value ≡ (local << shift) + addend (mod 2^32)`
-/// holds (`addend` is kept reduced mod 2^32): enough for hoisted-guard
-/// synthesis — the guard recomputes the bound in 64-bit where the wrapped
-/// runtime value can only be *smaller* — but not for dominating-check
-/// facts, which compare checked extents of the runtime (wrapped) value.
+/// Symbolic provenance: `value == (local << shift) + addend` over the
+/// integers (no wrap anywhere in the chain). An operation that may wrap
+/// drops the provenance: dominating-check facts compare checked extents
+/// of the runtime value, which a mod-2^32 congruence cannot order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Sym {
     local: u32,
     shift: u8,
     addend: u64,
-    exact: bool,
 }
 
 /// Comparison operator of a predicate value.
@@ -684,16 +585,13 @@ impl AbsVal {
         (self.lo == self.hi).then_some(self.lo)
     }
 
-    /// Trivial provenance `value == local` (shift 0, addend 0). Exactness
-    /// is irrelevant at shift 0 / addend 0: two u32s congruent mod 2^32
-    /// are equal.
+    /// Trivial provenance `value == local` (shift 0, addend 0).
     fn as_local(&self) -> Option<u32> {
         match self.sym {
             Some(Sym {
                 local,
                 shift: 0,
                 addend: 0,
-                ..
             }) => Some(local),
             _ => None,
         }
@@ -770,19 +668,9 @@ fn abs_add(a: &AbsVal, b: &AbsVal) -> AbsVal {
     };
     let (lo, hi, split) = wrap_add_iv(v.lo, v.hi, c);
     let wraps = v.hi + c > U32_MAX;
-    let sym = v.sym.map(|s| {
-        if wraps || !s.exact {
-            Sym {
-                addend: (s.addend + c) & U32_MAX,
-                exact: false,
-                ..s
-            }
-        } else {
-            Sym {
-                addend: s.addend + c,
-                ..s
-            }
-        }
+    let sym = v.sym.filter(|_| !wraps).map(|s| Sym {
+        addend: s.addend + c,
+        ..s
     });
     AbsVal {
         lo,
@@ -801,19 +689,9 @@ fn abs_sub(a: &AbsVal, b: &AbsVal) -> AbsVal {
     if let Some(c) = b.as_const() {
         // a - c == a + (2^32 - c) mod 2^32.
         let (lo, hi, split) = wrap_add_iv(a.lo, a.hi, ((1u64 << 32) - c) & U32_MAX);
-        let sym = a.sym.map(|s| {
-            if a.lo >= c && s.exact && s.addend >= c {
-                Sym {
-                    addend: s.addend - c,
-                    ..s
-                }
-            } else {
-                Sym {
-                    addend: s.addend.wrapping_sub(c) & U32_MAX,
-                    exact: false,
-                    ..s
-                }
-            }
+        let sym = a.sym.filter(|s| a.lo >= c && s.addend >= c).map(|s| Sym {
+            addend: s.addend - c,
+            ..s
         });
         return AbsVal {
             lo,
@@ -897,23 +775,17 @@ fn abs_shl(a: &AbsVal, b: &AbsVal) -> AbsVal {
     if let Some(x) = a.as_const() {
         return AbsVal::cst((x as u32) << k);
     }
+    if a.hi << k > U32_MAX {
+        // The shift may wrap.
+        return AbsVal::top();
+    }
     let sym = a.sym.and_then(|s| {
         (u32::from(s.shift) + u32::from(k) <= 31).then(|| Sym {
             local: s.local,
             shift: s.shift + k,
-            addend: (s.addend << k) & U32_MAX,
-            // Shifting multiplies both sides of the congruence by 2^k, so
-            // it survives mod 2^32 — but a possible wrap loses exactness.
-            exact: s.exact && a.hi << k <= U32_MAX,
+            addend: s.addend << k,
         })
     });
-    if a.hi << k > U32_MAX {
-        // The shift may wrap: hull goes to ⊤, but the (inexact)
-        // congruence provenance survives for hoisted-guard synthesis.
-        let mut t = AbsVal::top();
-        t.sym = sym;
-        return t;
-    }
     AbsVal {
         lo: a.lo << k,
         hi: a.hi << k,
@@ -962,8 +834,7 @@ struct State {
     /// values). Established by branch refinement on unsigned (or
     /// provably-nonnegative signed) compares and by exact local-to-local
     /// copies; intersected at joins; killed when either side is
-    /// reassigned. These power `a - b` narrowing and supply the
-    /// loop-invariant bound for hoisted-guard synthesis.
+    /// reassigned. These power `a - b` narrowing.
     rel: BTreeMap<(u32, u32), bool>,
     live: bool,
 }
@@ -1090,9 +961,8 @@ fn record_fact(st: &mut State, key: (u32, u8), need: u64, is_static: bool) {
 enum Node {
     Plain(u32),
     Block(BlockType, Vec<Node>),
-    /// A loop with its header pc (the `Loop` opcode) and end pc (its
-    /// `End`), the instruction range codegen duplicates when versioning.
-    Loop(BlockType, Vec<Node>, u32, u32),
+    /// A loop with its header pc (the `Loop` opcode).
+    Loop(BlockType, Vec<Node>, u32),
     If(BlockType, Vec<Node>, Vec<Node>),
 }
 
@@ -1114,8 +984,7 @@ fn parse_seq(body: &[Instr], pos: &mut usize) -> (Vec<Node>, Term) {
             }
             Instr::Loop(bt) => {
                 let (inner, _) = parse_seq(body, pos);
-                // `pos` now points one past the loop's End.
-                out.push(Node::Loop(*bt, inner, pc as u32, (*pos - 1) as u32));
+                out.push(Node::Loop(*bt, inner, pc as u32));
             }
             Instr::If(bt) => {
                 let (then_b, t) = parse_seq(body, pos);
@@ -1144,7 +1013,7 @@ fn collect_written_locals(nodes: &[Node], body: &[Instr], out: &mut Vec<u32>) {
                     }
                 }
             }
-            Node::Block(_, b) | Node::Loop(_, b, _, _) => collect_written_locals(b, body, out),
+            Node::Block(_, b) | Node::Loop(_, b, _) => collect_written_locals(b, body, out),
             Node::If(_, t, e) => {
                 collect_written_locals(t, body, out);
                 collect_written_locals(e, body, out);
@@ -1232,20 +1101,6 @@ fn merge_into(slot: &mut Option<State>, s: State) {
 
 // ──────────────────────────────────── analyzer ───────────────────────────
 
-/// Per-loop hoist-candidate collection, pushed for the recording pass of
-/// each straight-line (all-`Plain`) loop body.
-struct LoopCtx {
-    loop_pc: u32,
-    end_pc: u32,
-    /// Locals the loop body writes (guard bounds must not be among them).
-    written: Vec<u32>,
-    guards: Vec<GuardExpr>,
-    /// pcs of the `Emit` accesses the guards cover.
-    pcs: Vec<u32>,
-    /// Still hoistable: every `Emit` access so far produced a guard.
-    ok: bool,
-}
-
 struct Analyzer<'m> {
     module: &'m Module,
     fmeta: &'m FuncMeta,
@@ -1263,8 +1118,6 @@ struct Analyzer<'m> {
     /// Plan/summary writes happen only on the single recording pass over
     /// each instruction; loop fixpoint probes run with this off.
     recording: bool,
-    /// Synthesize hoisted guards ([`AnalysisConfig::hoist`]).
-    hoist: bool,
     /// Number of imported functions (start of the defined index space).
     ni: u32,
     /// Phase-A return intervals by defined function index (`None` = ⊤ or
@@ -1278,8 +1131,6 @@ struct Analyzer<'m> {
     /// Params the body ever writes (excluded from `param_footprint`).
     param_written: Vec<bool>,
     footprint: BTreeMap<(u32, u8), u64>,
-    loop_stack: Vec<LoopCtx>,
-    hoists: Vec<HoistPlan>,
     clamp_ok: Vec<u32>,
     /// The last `(entry, stabilized header)` pair per loop pc.
     headers: BTreeMap<u32, (State, State)>,
@@ -1294,7 +1145,6 @@ impl<'m> Analyzer<'m> {
         fmeta: &'m FuncMeta,
         mem_min: u64,
         mem_max: u64,
-        hoist: bool,
         ret_ivs: &'m [Option<(u64, u64)>],
         param_ivs: Option<&'m [(u64, u64)]>,
     ) -> Analyzer<'m> {
@@ -1311,15 +1161,12 @@ impl<'m> Analyzer<'m> {
             any_bounded: false,
             any_unbounded: false,
             recording: true,
-            hoist,
             ni: module.num_imported_funcs(),
             ret_ivs,
             param_ivs,
             call_args: Vec::new(),
             param_written: Vec::new(),
             footprint: BTreeMap::new(),
-            loop_stack: Vec::new(),
-            hoists: Vec::new(),
             clamp_ok: Vec::new(),
             headers: BTreeMap::new(),
             #[cfg(test)]
@@ -1423,12 +1270,10 @@ impl<'m> Analyzer<'m> {
         };
         self.clamp_ok.sort_unstable();
         self.clamp_ok.dedup();
-        self.hoists.sort_by_key(|h| h.loop_pc);
         (
             FuncPlan {
                 kinds: self.kinds,
                 clamp_ok: self.clamp_ok,
-                hoists: self.hoists,
                 summary: self.summary,
             },
             self.call_args,
@@ -1458,8 +1303,8 @@ impl<'m> Analyzer<'m> {
                     let fr = frames.pop().expect("block frame");
                     block_exit(st, fr.merged, eh, keep);
                 }
-                Node::Loop(bt, inner, loop_pc, end_pc) => {
-                    self.exec_loop(*bt, inner, *loop_pc, *end_pc, st, frames, floor)
+                Node::Loop(bt, inner, loop_pc) => {
+                    self.exec_loop(*bt, inner, *loop_pc, st, frames, floor)
                 }
                 Node::If(bt, then_b, else_b) => {
                     self.exec_if(*bt, then_b, else_b, st, frames, floor)
@@ -1483,7 +1328,7 @@ impl<'m> Analyzer<'m> {
         let mut then_s = st.clone();
         let mut else_s = std::mem::replace(st, then_s.clone());
         // Interval gating: a constant condition kills the untaken arm
-        // entirely (this is how a hoisted loop pre-guard manifests).
+        // entirely (e.g. a loop's `n > 0` pre-test on a constant `n`).
         if cond.hi == 0 {
             then_s.live = false;
         }
@@ -1527,13 +1372,11 @@ impl<'m> Analyzer<'m> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn exec_loop(
         &mut self,
         bt: BlockType,
         inner: &[Node],
         loop_pc: u32,
-        end_pc: u32,
         st: &mut State,
         frames: &mut Vec<Frame>,
         floor: usize,
@@ -1559,10 +1402,7 @@ impl<'m> Analyzer<'m> {
         };
 
         // The single recording pass, from the stabilized header, with
-        // forward exits live. Straight-line loop bodies additionally
-        // collect hoisted-guard candidates: if every `Emit` access in the
-        // body has a loop-invariant symbolic bound, the loop is versioned
-        // and those accesses become `ElideHoisted`.
+        // forward exits live.
         *st = header;
         frames.push(Frame {
             is_loop: true,
@@ -1571,48 +1411,8 @@ impl<'m> Analyzer<'m> {
             merged: None,
             backedge: None,
         });
-        let hoisting = self.recording
-            && self.hoist
-            && !inner.is_empty()
-            && inner.iter().all(|n| matches!(n, Node::Plain(_)));
-        if hoisting {
-            let mut written = Vec::new();
-            collect_written_locals(inner, self.body, &mut written);
-            self.loop_stack.push(LoopCtx {
-                loop_pc,
-                end_pc,
-                written,
-                guards: Vec::new(),
-                pcs: Vec::new(),
-                ok: true,
-            });
-        }
         self.exec_seq(inner, st, frames, floor);
         frames.pop();
-        if hoisting {
-            let ctx = self.loop_stack.pop().expect("loop ctx");
-            if ctx.ok && !ctx.pcs.is_empty() {
-                for &pc in &ctx.pcs {
-                    self.kinds[pc as usize] = CheckKind::ElideHoisted;
-                    self.summary.emitted -= 1;
-                    self.summary.elided_hoisted += 1;
-                }
-                let mut guards: Vec<GuardExpr> = Vec::new();
-                for g in ctx.guards {
-                    match guards.iter_mut().find(|e| {
-                        e.bound_local == g.bound_local && e.strict == g.strict && e.shift == g.shift
-                    }) {
-                        Some(e) => e.addend = e.addend.max(g.addend),
-                        None => guards.push(g),
-                    }
-                }
-                self.hoists.push(HoistPlan {
-                    loop_pc: ctx.loop_pc,
-                    end_pc: ctx.end_pc,
-                    guards,
-                });
-            }
-        }
         block_exit(st, None, eh, keep);
     }
 
@@ -1684,36 +1484,6 @@ impl<'m> Analyzer<'m> {
         }
         self.recording = saved_rec;
         header
-    }
-
-    /// A preheader guard covering one `Emit` access with symbolic address
-    /// `(sym.local << sym.shift) + sym.addend` and the given extent, if
-    /// the loop admits one: the index local itself when loop-invariant,
-    /// else a direct relational bound `index <u/≤u n` on an invariant `n`.
-    fn guard_for(sym: &Sym, extent: u64, st: &State, written: &[u32]) -> Option<GuardExpr> {
-        let needed = sym.addend + extent;
-        if needed > 0x7FFF_FFFF {
-            return None;
-        }
-        if !written.contains(&sym.local) {
-            return Some(GuardExpr {
-                bound_local: sym.local,
-                strict: false,
-                shift: sym.shift,
-                addend: needed,
-            });
-        }
-        for (&(a, n), &strict) in st.rel.iter() {
-            if a == sym.local && !written.contains(&n) {
-                return Some(GuardExpr {
-                    bound_local: n,
-                    strict,
-                    shift: sym.shift,
-                    addend: needed,
-                });
-            }
-        }
-        None
     }
 
     /// One non-recording pass over a loop body from `header`; returns the
@@ -1819,18 +1589,12 @@ impl<'m> Analyzer<'m> {
         let extent = u64::from(offset) + u64::from(size);
         let end_min = addr.lo + extent;
         let end_max = addr.hi + extent;
-        // Dominating-check facts need *exact* provenance: they compare
-        // checked extents of the runtime value, which a mod-2^32
-        // congruence cannot order. Inexact provenance still feeds
-        // hoisted-guard synthesis below (the guard recomputes the bound
-        // in 64-bit, where the wrapped value can only be smaller).
-        let exact_sym = addr.sym.filter(|s| s.exact);
         let mut dom_static = false;
         let kind = if end_max <= self.mem_min {
             CheckKind::ElideInBounds
         } else if end_min > self.mem_max {
             CheckKind::StaticOob
-        } else if let Some(sym) = exact_sym {
+        } else if let Some(sym) = addr.sym {
             let key = (sym.local, sym.shift);
             let need = sym.addend + extent;
             match st.checked.get(&key) {
@@ -1849,7 +1613,7 @@ impl<'m> Analyzer<'m> {
         if kind == CheckKind::ElideInBounds {
             // A statically proven bound is also a dominating fact — a
             // *static* one, consumable under clamp too.
-            if let Some(sym) = exact_sym {
+            if let Some(sym) = addr.sym {
                 record_fact(st, (sym.local, sym.shift), sym.addend + extent, true);
             }
         }
@@ -1864,12 +1628,11 @@ impl<'m> Analyzer<'m> {
                 CheckKind::ElideInBounds => self.summary.elided_in_bounds += 1,
                 CheckKind::ElideDominated => self.summary.elided_dominated += 1,
                 CheckKind::StaticOob => self.summary.static_oob += 1,
-                CheckKind::ElideHoisted => unreachable!("assigned only at loop finalize"),
             }
             if kind == CheckKind::ElideDominated && dom_static {
                 self.clamp_ok.push(pc as u32);
             }
-            if let Some(sym) = exact_sym {
+            if let Some(sym) = addr.sym {
                 if (sym.local as usize) < self.param_written.len()
                     && !self.param_written[sym.local as usize]
                 {
@@ -1882,22 +1645,6 @@ impl<'m> Analyzer<'m> {
             } else {
                 self.any_bounded = true;
                 self.max_needed = self.max_needed.max(end_max);
-            }
-            if kind == CheckKind::Emit && self.hoist {
-                if let Some(ctx) = self.loop_stack.last_mut() {
-                    if ctx.ok {
-                        match addr
-                            .sym
-                            .and_then(|s| Self::guard_for(&s, extent, st, &ctx.written))
-                        {
-                            Some(g) => {
-                                ctx.guards.push(g);
-                                ctx.pcs.push(pc as u32);
-                            }
-                            None => ctx.ok = false,
-                        }
-                    }
-                }
             }
         }
     }
@@ -2000,7 +1747,6 @@ impl<'m> Analyzer<'m> {
                     local: *l,
                     shift: 0,
                     addend: 0,
-                    exact: true,
                 });
                 st.stack.push(v);
             }
@@ -2040,7 +1786,6 @@ impl<'m> Analyzer<'m> {
                         local: *l,
                         shift: 0,
                         addend: 0,
-                        exact: true,
                     });
                     st.stack.push(top);
                 }
@@ -2913,87 +2658,6 @@ mod tests {
         assert_eq!(p.kind_at(10), CheckKind::Emit);
     }
 
-    /// The canonical unsigned counted loop with a ⊤ bound: `for i in
-    /// 0..p0` store at `(i<<2)+64`.
-    fn dyn_loop_body() -> Vec<Instr> {
-        vec![
-            Instr::I32Const(0),
-            Instr::LocalSet(1),
-            Instr::LocalGet(0),
-            Instr::LocalSet(2),
-            Instr::Block(BlockType::Empty),
-            Instr::LocalGet(1),
-            Instr::LocalGet(2),
-            Instr::I32GeU,
-            Instr::BrIf(0),
-            Instr::Loop(BlockType::Empty),
-            Instr::LocalGet(1),
-            Instr::I32Const(2),
-            Instr::I32Shl,
-            Instr::LocalGet(1),
-            Instr::I32Store(MemArg::offset(64)),
-            Instr::LocalGet(1),
-            Instr::I32Const(1),
-            Instr::I32Add,
-            Instr::LocalTee(1),
-            Instr::LocalGet(2),
-            Instr::I32LtU,
-            Instr::BrIf(0),
-            Instr::End,
-            Instr::End,
-            Instr::End,
-        ]
-    }
-
-    #[test]
-    fn unsigned_dynamic_bound_loop_gets_hoisted_guard() {
-        let (m, meta) = mk(&[I32], &[I32, I32], 1, dyn_loop_body());
-        let plan = plan_of(&m, &meta);
-        assert_eq!(plan.summary.elided_hoisted, 1);
-        assert_eq!(plan.summary.emitted, 0);
-        let h = (0..m.functions[0].body.len() as u32)
-            .find_map(|pc| plan.hoist_at(pc))
-            .expect("loop is versioned");
-        assert_eq!(h.guards.len(), 1);
-        let g = h.guards[0];
-        assert_eq!(g.bound_local, 2, "bound is the loop-invariant end local");
-        assert!(g.strict, "backedge compares `i <u end`");
-        assert_eq!(g.shift, 2);
-        assert_eq!(g.addend, 68, "worst access is `(end-1)<<2 + 64 + 4`");
-    }
-
-    #[test]
-    fn signed_compare_on_top_bound_is_not_hoisted() {
-        // `i <s end` proves nothing about the unsigned index when `end`
-        // is ⊤ (a negative bound admits huge unsigned indices), so the
-        // loop must keep its per-access check rather than gain a guard.
-        let mut body = dyn_loop_body();
-        for instr in &mut body {
-            match instr {
-                Instr::I32GeU => *instr = Instr::I32GeS,
-                Instr::I32LtU => *instr = Instr::I32LtS,
-                _ => {}
-            }
-        }
-        let (m, meta) = mk(&[I32], &[I32, I32], 1, body);
-        let plan = plan_of(&m, &meta);
-        assert_eq!(plan.summary.elided_hoisted, 0);
-        assert_eq!(plan.summary.emitted, 1);
-    }
-
-    #[test]
-    fn hoisting_can_be_disabled_by_config() {
-        let (m, meta) = mk(&[I32], &[I32, I32], 1, dyn_loop_body());
-        let cfg = AnalysisConfig {
-            interprocedural: true,
-            hoist: false,
-        };
-        let plan = &analyze_module_with(&m, &meta, &cfg).funcs[0];
-        assert_eq!(plan.summary.elided_hoisted, 0);
-        assert_eq!(plan.summary.emitted, 1);
-        assert!((0..m.functions[0].body.len() as u32).all(|pc| plan.hoist_at(pc).is_none()));
-    }
-
     #[test]
     fn descending_loop_interval_split_proves_accesses() {
         // `for i in (0..100).rev()` store at `(i<<2)`: the descending
@@ -3217,7 +2881,7 @@ mod tests {
         let bounds = [2, 3, 4, 5];
         let (m, meta) = mk(&[], &[I32; 8], 1, counted_nest(&bounds));
         let mem = PAGE_SIZE as u64;
-        let a = Analyzer::new(&m, &meta.funcs[0], mem, mem, true, &[], None);
+        let a = Analyzer::new(&m, &meta.funcs[0], mem, mem, &[], None);
         let probes = std::rc::Rc::clone(&a.probes);
         let plan = a.run(&m.functions[0].body);
         assert_eq!(plan.summary.accesses, 1);
@@ -3244,7 +2908,7 @@ mod tests {
         let probes_for = |body: Vec<Instr>| {
             let (m, meta) = mk(&[], &[I32; 6], 1, body);
             let mem = PAGE_SIZE as u64;
-            let a = Analyzer::new(&m, &meta.funcs[0], mem, mem, true, &[], None);
+            let a = Analyzer::new(&m, &meta.funcs[0], mem, mem, &[], None);
             let probes = std::rc::Rc::clone(&a.probes);
             let plan = a.run(&m.functions[0].body);
             assert_eq!(plan.summary.elided_in_bounds, 1, "{:?}", plan.summary);

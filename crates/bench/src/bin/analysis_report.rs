@@ -2,8 +2,7 @@
 //! SPEC proxies (both at Mini), and the CI elision-regression gate.
 //!
 //! For every module this prints the plan's access accounting — elided
-//! (statically proven), hoisted (covered by a versioned loop's preheader
-//! guard), emitted, and statically OOB — plus the elision ratio and the
+//! (statically proven), emitted, and statically OOB — plus the elision ratio and the
 //! wall time `lb-analysis` took (`analysis_ms`, informational only: it is
 //! host-dependent and gates nothing). No code runs; the accounting comes
 //! straight from `lb-analysis`, so the gate is deterministic and fast
@@ -29,7 +28,6 @@ use std::time::Instant;
 struct Row {
     accesses: u64,
     elided: u64,
-    hoisted: u64,
     emitted: u64,
     oob: u64,
     analysis_ms: f64,
@@ -60,7 +58,6 @@ fn analyze_all() -> BTreeMap<String, Row> {
             Row {
                 accesses,
                 elided,
-                hoisted: plan.total_hoisted(),
                 emitted,
                 oob,
                 analysis_ms,
@@ -106,11 +103,10 @@ fn main() -> ExitCode {
                 match rows.get(name) {
                     Some(row) if row.ratio() + 1e-9 < *floor => regressions.push(format!(
                         "{name}: elision ratio {:.4} fell below recorded floor {floor:.4} \
-                         ({} of {} accesses elided, {} hoisted, {} emitted)",
+                         ({} of {} accesses elided, {} emitted)",
                         row.ratio(),
                         row.elided,
                         row.accesses,
-                        row.hoisted,
                         row.emitted
                     )),
                     Some(_) => {}
@@ -154,23 +150,15 @@ fn main() -> ExitCode {
         }
         _ => {
             println!(
-                "{:<16} {:>9} {:>8} {:>8} {:>8} {:>5} {:>8} {:>12}",
-                "module",
-                "accesses",
-                "elided",
-                "hoisted",
-                "emitted",
-                "oob",
-                "elide%",
-                "analysis_ms"
+                "{:<16} {:>9} {:>8} {:>8} {:>5} {:>8} {:>12}",
+                "module", "accesses", "elided", "emitted", "oob", "elide%", "analysis_ms"
             );
             for (name, r) in &rows {
                 println!(
-                    "{:<16} {:>9} {:>8} {:>8} {:>8} {:>5} {:>7.1}% {:>12.2}",
+                    "{:<16} {:>9} {:>8} {:>8} {:>5} {:>7.1}% {:>12.2}",
                     name,
                     r.accesses,
                     r.elided,
-                    r.hoisted,
                     r.emitted,
                     r.oob,
                     100.0 * r.ratio(),

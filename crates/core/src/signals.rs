@@ -604,6 +604,7 @@ mod tests {
 
     #[test]
     fn segv_in_registered_arena_becomes_oob_trap() {
+        let _vm = crate::stats::test_lock();
         // A PROT_NONE reservation registered as an arena: touching it must
         // surface as a wasm OOB trap, not a crash.
         let res = Reservation::new(1 << 20, Protection::None).unwrap();
@@ -633,6 +634,7 @@ mod tests {
 
     #[test]
     fn nested_catch_traps() {
+        let _vm = crate::stats::test_lock();
         let res = Reservation::new(1 << 16, Protection::None).unwrap();
         let base = res.base().as_ptr() as usize;
         let desc = Box::new(ArenaDesc::new(
@@ -661,6 +663,7 @@ mod tests {
 
     #[test]
     fn traps_work_from_many_threads() {
+        let _vm = crate::stats::test_lock();
         let res = Reservation::new(1 << 20, Protection::None).unwrap();
         let base = res.base().as_ptr() as usize;
         let desc = Box::new(ArenaDesc::new(

@@ -247,12 +247,24 @@ pub(crate) fn count_uffd_prefetch_streak() {
     vm().uffd_prefetch_streak.inc();
 }
 
+/// Serializes the unit tests that move the process-wide vm counters
+/// (`mmap`, `mprotect`, `uffd.*`, signal traps) and `mem.grow.*` with the
+/// ones that assert exact deltas of them: a test must not see another
+/// test's syscalls.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn deltas_subtract() {
+        let _vm = test_lock();
         let before = snapshot();
         count_mprotect();
         count_mprotect();
@@ -265,6 +277,7 @@ mod tests {
 
     #[test]
     fn grow_is_strategy_labelled() {
+        let _vm = test_lock();
         let before = lb_telemetry::snapshot();
         count_grow(BoundsStrategy::Uffd);
         count_grow(BoundsStrategy::Uffd);
@@ -321,6 +334,7 @@ mod tests {
 
     #[test]
     fn vm_counters_share_telemetry_storage() {
+        let _vm = test_lock();
         let before = lb_telemetry::snapshot();
         count_mmap();
         let after = lb_telemetry::snapshot();

@@ -696,22 +696,40 @@ impl Drop for Watchdog {
     }
 }
 
+/// Count a skipped test and report it on stderr past the test harness's
+/// output capture, so a skip is never silent.
+#[cfg(test)]
+fn report_skip(reason: &str) {
+    use std::io::Write as _;
+    static SKIPS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let skips = SKIPS.fetch_add(1, Ordering::Relaxed) + 1;
+    let thread = std::thread::current();
+    let test = thread.name().unwrap_or("lb-core test");
+    let _ = writeln!(
+        std::io::stderr(),
+        "lb-core: {test}: SKIPPED, {reason}; {skips} skipped in this run"
+    );
+}
+
+/// Whether the calling test, which needs userfaultfd SIGBUS mode, can run
+/// (a skip is reported, see [`report_skip`]).
+#[cfg(test)]
+pub(crate) fn uffd_or_skip() -> bool {
+    if sigbus_mode_available() {
+        return true;
+    }
+    report_skip("userfaultfd SIGBUS mode unavailable");
+    false
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::region::{Protection, Reservation};
 
-    fn require_uffd() -> bool {
-        if !sigbus_mode_available() {
-            eprintln!("skipping: userfaultfd SIGBUS mode unavailable");
-            return false;
-        }
-        true
-    }
-
     #[test]
     fn api_handshake() {
-        if !require_uffd() {
+        if !uffd_or_skip() {
             return;
         }
         let u = Uffd::new_sigbus().unwrap();
@@ -721,7 +739,8 @@ mod tests {
 
     #[test]
     fn register_and_explicit_zeropage() {
-        if !require_uffd() {
+        let _vm = crate::stats::test_lock();
+        if !uffd_or_skip() {
             return;
         }
         let res = Reservation::new(1 << 20, Protection::ReadWrite).unwrap();
@@ -739,15 +758,15 @@ mod tests {
         u.unregister(base, res.len()).unwrap();
     }
 
-    /// Serializes tests that reconfigure the process-global fault-service
-    /// window, and restores the default when dropped.
+    /// Holds [`crate::stats::test_lock`] while a test reconfigures the
+    /// process-global fault-service window, and restores the default when
+    /// dropped.
     struct WindowGuard {
         _lock: std::sync::MutexGuard<'static, ()>,
     }
 
     fn window_lock(pages: usize) -> WindowGuard {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let g = crate::stats::test_lock();
         set_uffd_window_pages(pages);
         WindowGuard { _lock: g }
     }
@@ -764,7 +783,7 @@ mod tests {
         len: usize,
         committed: usize,
     ) -> Option<(Reservation, Uffd, crate::registry::ArenaDesc)> {
-        if !require_uffd() {
+        if !uffd_or_skip() {
             return None;
         }
         let res = Reservation::new(len, Protection::ReadWrite).unwrap();
@@ -918,8 +937,9 @@ mod tests {
 
     #[test]
     fn poll_mode_populates_on_touch() {
+        let _vm = crate::stats::test_lock();
         let Ok(u) = Uffd::new_poll() else {
-            eprintln!("skipping: userfaultfd unavailable");
+            report_skip("userfaultfd unavailable");
             return;
         };
         let res = Reservation::new(1 << 20, Protection::ReadWrite).unwrap();
@@ -940,8 +960,9 @@ mod tests {
 
     #[test]
     fn watchdog_rescues_thread_blocked_on_dead_handler() {
+        let _vm = crate::stats::test_lock();
         let Ok(u) = Uffd::new_poll() else {
-            eprintln!("skipping: userfaultfd unavailable");
+            report_skip("userfaultfd unavailable");
             return;
         };
         let res = Reservation::new(1 << 20, Protection::ReadWrite).unwrap();
@@ -991,8 +1012,9 @@ mod tests {
 
     #[test]
     fn watchdog_stays_quiet_while_heartbeat_advances() {
+        let _vm = crate::stats::test_lock();
         let Ok(u) = Uffd::new_poll() else {
-            eprintln!("skipping: userfaultfd unavailable");
+            report_skip("userfaultfd unavailable");
             return;
         };
         let res = Reservation::new(1 << 20, Protection::ReadWrite).unwrap();

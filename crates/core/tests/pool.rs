@@ -1,101 +1,19 @@
-//! Instance-pool contract tests: zero `mmap`/`munmap` at steady state,
-//! the zero-fill guarantee after dirtying runs, kept-alive uffd
-//! registration, and clean degradation when pooling is off or shapes
-//! change.
+//! Instance-pool contract tests: the zero-fill guarantee after dirtying
+//! runs, kept-alive uffd registration, and clean degradation when pooling
+//! is off or shapes change (steady-state reuse is in `pool_maps.rs`).
 //!
 //! Lives in its own integration binary because the pool configuration is
 //! process-global; every test serializes on `TEST_LOCK` and restores the
 //! disabled-pool default before returning.
 
-use lb_core::pool::{self, MemoryPoolConfig};
+mod common;
+
+use common::{cfg, strategies, PoolGuard};
+use lb_core::pool;
 use lb_core::{BoundsStrategy, LinearMemory, MemoryConfig, WASM_PAGE};
 use std::sync::Mutex;
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-fn cfg(strategy: BoundsStrategy) -> MemoryConfig {
-    MemoryConfig::new(strategy, 2, 8).with_reserve(16 * WASM_PAGE)
-}
-
-fn maps_lines() -> usize {
-    std::fs::read_to_string("/proc/self/maps")
-        .expect("read /proc/self/maps")
-        .lines()
-        .count()
-}
-
-/// Enable pooling for the duration of a test; disables and drains on drop
-/// so sibling tests (and the binary's exit) see the default state.
-struct PoolGuard;
-
-impl PoolGuard {
-    fn enable(capacity: usize, verify_zero: bool) -> PoolGuard {
-        pool::drain();
-        pool::configure(MemoryPoolConfig {
-            capacity,
-            verify_zero,
-        });
-        PoolGuard
-    }
-}
-
-impl Drop for PoolGuard {
-    fn drop(&mut self) {
-        pool::configure(MemoryPoolConfig::default());
-        pool::drain();
-    }
-}
-
-fn strategies() -> Vec<BoundsStrategy> {
-    BoundsStrategy::ALL
-        .into_iter()
-        .filter(|&s| s != BoundsStrategy::Uffd || lb_core::uffd::sigbus_mode_available())
-        .collect()
-}
-
-#[test]
-fn steady_state_reuse_performs_zero_mmap_and_maps_stay_stable() {
-    let _t = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _p = PoolGuard::enable(4, true);
-    for s in strategies() {
-        // Warm-up: the first instantiations miss and map fresh memory;
-        // their drops park the parts. A few rounds also settle the
-        // allocator so the maps snapshot below is steady.
-        for _ in 0..3 {
-            let m = LinearMemory::new(&cfg(s)).unwrap();
-            m.write_bytes(0, &[0xAB; 256]).unwrap();
-        }
-        let before = lb_core::stats::snapshot();
-        let maps_before = maps_lines();
-        for i in 0..10u32 {
-            let m = LinearMemory::new(&cfg(s)).unwrap();
-            assert!(m.from_pool(), "iteration {i} of {s} must hit the pool");
-            m.write_bytes((i % 2 * 4096) as u32, &[0xCD; 512]).unwrap();
-        }
-        let d = lb_core::stats::snapshot().delta(&before);
-        assert_eq!(d.mmap, 0, "{s}: steady-state reuse must not mmap");
-        assert_eq!(d.munmap, 0, "{s}: steady-state reuse must not munmap");
-        assert!(d.pool_hits >= 10, "{s}: hits {}", d.pool_hits);
-        assert_eq!(d.pool_misses, 0, "{s}: no misses at steady state");
-        assert_eq!(
-            maps_lines(),
-            maps_before,
-            "{s}: the address space must be byte-for-byte stable"
-        );
-        if s == BoundsStrategy::Uffd {
-            assert_eq!(
-                d.uffd_register, 0,
-                "reuse must keep the uffd registration alive"
-            );
-        }
-        if s == BoundsStrategy::Mprotect {
-            assert_eq!(
-                d.mprotect, 0,
-                "same-shape mprotect reuse must skip every protect call"
-            );
-        }
-    }
-}
 
 #[test]
 fn reused_memory_reads_all_zero_after_dirtying_run() {

@@ -157,10 +157,10 @@ impl DslFunc {
 
     /// `for v in start..end` (i32, step +1) with *unsigned* comparisons.
     ///
-    /// The `v <u end` backedge is the loop shape whose relational fact
-    /// lets `lb-analysis` synthesize a hoisted preheader guard when `end`
-    /// is not statically known (signed compares prove nothing about the
-    /// unsigned access index unless both sides are provably non-negative).
+    /// The `v <u end` backedge gives `lb-analysis` the relational fact
+    /// `v <u end` even when `end` is not statically known (signed compares
+    /// prove nothing about the unsigned access index unless both sides are
+    /// provably non-negative).
     pub fn for_i32u(&mut self, v: Var, start: Expr, end: Expr, body: impl FnOnce(&mut DslFunc)) {
         assert_eq!(v.ty, ValType::I32, "loop variable must be i32");
         self.assign(v, start);

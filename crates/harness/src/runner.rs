@@ -445,12 +445,6 @@ fn run_once(bench: &Benchmark, spec: &RunSpec) -> Result<RunResult, RunFailure> 
             "checks_emitted",
             telemetry.counter("jit.checks.emitted").to_string(),
         ),
-        // Fast-loop-body sites covered by a hoisted preheader guard
-        // (check-free in the versioned fast copy).
-        (
-            "checks_hoisted",
-            telemetry.counter("jit.checks.hoisted").to_string(),
-        ),
         // Translation validation (only nonzero when LB_VERIFY is set):
         // sites the validator proved and anything it could not.
         (
@@ -735,6 +729,15 @@ mod tests {
     use super::*;
     use lb_polybench::{by_name, common::Dataset};
 
+    /// Serializes the tests that run wasm: `RunResult::vm` is a delta of
+    /// process-wide counters, so one test's runs must not see another's
+    /// syscalls.
+    fn vm_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn quick_spec(engine: EngineSel) -> RunSpec {
         RunSpec {
             engine,
@@ -761,6 +764,7 @@ mod tests {
 
     #[test]
     fn wasm_run_produces_times_and_validates() {
+        let _vm = vm_lock();
         let b = by_name("atax", Dataset::Mini).unwrap();
         for e in [EngineSel::Interp, EngineSel::Wavm] {
             let r = run_benchmark(&b, &quick_spec(e));
@@ -773,6 +777,7 @@ mod tests {
 
     #[test]
     fn multithreaded_run_works() {
+        let _vm = vm_lock();
         let b = by_name("trisolv", Dataset::Mini).unwrap();
         let mut spec = quick_spec(EngineSel::Wasmtime);
         spec.threads = 4;
@@ -784,6 +789,7 @@ mod tests {
 
     #[test]
     fn mprotect_strategy_issues_mprotect_calls() {
+        let _vm = vm_lock();
         let b = by_name("jacobi-1d", Dataset::Mini).unwrap();
         let mut spec = quick_spec(EngineSel::Wavm);
         spec.strategy = BoundsStrategy::Mprotect;
@@ -800,6 +806,7 @@ mod tests {
 
     #[test]
     fn tiny_timeout_fails_cleanly() {
+        let _vm = vm_lock();
         let b = by_name("gemm", Dataset::Mini).unwrap();
         let mut spec = quick_spec(EngineSel::Interp);
         spec.timeout = Some(Duration::ZERO);

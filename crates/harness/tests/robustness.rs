@@ -44,7 +44,10 @@ fn injected_failure_becomes_failed_record_and_campaign_continues() {
         }
     }
     drop(guard);
-    // With the fault gone the same spec completes.
+    // With the fault gone the same spec completes. The empty plan keeps
+    // the install lock held for this run: otherwise another test's plan
+    // can fire in it, or this run can consume that plan's countdown.
+    let _quiet = lb_chaos::install("").unwrap();
     let b = by_name("gemm", Dataset::Mini).unwrap();
     let spec = quick_spec(EngineSel::Interp, BoundsStrategy::Mprotect);
     let r = run_benchmark_checked(&b, &spec);

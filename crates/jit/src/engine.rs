@@ -83,9 +83,6 @@ pub struct JitProfile {
     /// and consume its plan at `Basic` and `Full`. The plan is the only
     /// thing that removes a check.
     pub analysis: bool,
-    /// Let the analysis synthesize loop-preheader guards and version the
-    /// covered loops (no effect with `analysis` off).
-    pub hoisting: bool,
 }
 
 impl JitProfile {
@@ -94,14 +91,6 @@ impl JitProfile {
     /// elision, also the differential-testing reference).
     pub fn with_analysis(mut self, on: bool) -> JitProfile {
         self.analysis = on;
-        self
-    }
-
-    /// Toggle hoisted-guard synthesis / loop versioning (on by default;
-    /// turning it off keeps per-access checks, for differential testing
-    /// and A/B benchmarks).
-    pub fn with_hoisting(mut self, on: bool) -> JitProfile {
-        self.hoisting = on;
         self
     }
 
@@ -114,7 +103,6 @@ impl JitProfile {
             safepoints: false,
             gc_pause: false,
             analysis: true,
-            hoisting: true,
         }
     }
 
@@ -128,7 +116,6 @@ impl JitProfile {
             safepoints: false,
             gc_pause: false,
             analysis: true,
-            hoisting: true,
         }
     }
 
@@ -142,7 +129,6 @@ impl JitProfile {
             safepoints: true,
             gc_pause: true,
             analysis: true,
-            hoisting: true,
         }
     }
 }
@@ -247,13 +233,10 @@ impl Engine for JitEngine {
             }
         }
         let canon_types = canonical_type_ids(module);
-        let plan = self.profile.analysis.then(|| {
-            let cfg = lb_analysis::AnalysisConfig {
-                interprocedural: true,
-                hoist: self.profile.hoisting,
-            };
-            Arc::new(lb_analysis::analyze_module_with(module, &meta, &cfg))
-        });
+        let plan = self
+            .profile
+            .analysis
+            .then(|| Arc::new(lb_analysis::analyze_module(module, &meta)));
         Ok(Arc::new(JitModule {
             module: module.clone(),
             meta,

@@ -11,8 +11,6 @@
 //! * `verify.proven_guarded` — proven by a check at the site, the guard
 //!   region, or a static bound
 //! * `verify.proven_elided` — proven by a re-checked plan elision
-//! * `verify.proven_hoisted` — fast-loop-body sites proven by a matched
-//!   loop-preheader guard (mirrors `jit.checks.hoisted`)
 //! * `verify.findings` — everything that did not prove
 
 use crate::codegen::OptLevel;
@@ -47,7 +45,6 @@ struct VerifyCounters {
     sites: lb_telemetry::Counter,
     guarded: lb_telemetry::Counter,
     elided: lb_telemetry::Counter,
-    hoisted: lb_telemetry::Counter,
     findings: lb_telemetry::Counter,
 }
 
@@ -57,7 +54,6 @@ fn counters() -> &'static VerifyCounters {
         sites: lb_telemetry::counter("verify.sites_checked"),
         guarded: lb_telemetry::counter("verify.proven_guarded"),
         elided: lb_telemetry::counter("verify.proven_elided"),
-        hoisted: lb_telemetry::counter("verify.proven_hoisted"),
         findings: lb_telemetry::counter("verify.findings"),
     })
 }
@@ -104,7 +100,6 @@ pub fn verify_emitted(
     c.sites.add(report.sites_checked);
     c.guarded.add(report.proven_guarded);
     c.elided.add(report.proven_elided);
-    c.hoisted.add(report.proven_hoisted);
     c.findings.add(report.findings.len() as u64);
     if !report.findings.is_empty() {
         for f in &report.findings {

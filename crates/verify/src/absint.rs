@@ -97,6 +97,16 @@ struct Fact {
     fresh: bool,
 }
 
+impl Fact {
+    /// What holds when either `self` or `o` does.
+    fn meet(self, o: Fact) -> Fact {
+        Fact {
+            covered: self.covered.min(o.covered),
+            fresh: self.fresh && o.fresh,
+        }
+    }
+}
+
 /// Flags state, tracking only the comparisons the guard idioms use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Flags {
@@ -116,42 +126,11 @@ struct State {
     /// rbp-relative frame slots. Valid only while `rbp_valid`.
     slots: BTreeMap<i32, AbsVal>,
     facts: BTreeMap<FactKey, Fact>,
-    /// Hoisted-guard facts: indices into the pre-scanned guard list,
-    /// established on the fall-through (pass) edge of a guard's final
-    /// `ja` and never killed — the guarded bound is a comparison against
-    /// `mem_size`, which only grows. Intersected at joins, so a fact here
-    /// means every path ran the guard; the slow-body entry (the taken
-    /// edge) never receives it.
-    hfacts: BTreeSet<usize>,
     flags: Flags,
     rbp_valid: bool,
     /// `(reg, slot_disp)` when `reg` holds `lea reg, [rbp+disp]` — the
     /// host-call result protocol.
     slot_ptr: Option<(u8, i32)>,
-}
-
-/// Where a synthesized preheader guard read its loop bound from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BoundSrc {
-    /// A callee-saved register (pinned local, `Full` opt).
-    Reg(u8),
-    /// An rbp-relative frame slot displacement (spilled local).
-    Slot(i32),
-}
-
-/// A hoisted-guard sequence found by structural pre-scan: the exact
-/// contiguous shape `emit_hoist_guards` produces, ending in
-/// `cmp scratch, [r15+MEM_SIZE]; ja slow`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct HGuard {
-    /// Where the bound was loaded from.
-    pub src: BoundSrc,
-    /// Whether the guard subtracted 1 (exclusive bound).
-    pub strict: bool,
-    /// Left shift applied to the bound.
-    pub shift: u8,
-    /// Constant added after the shift.
-    pub addend: u64,
 }
 
 /// What the interpreter observed about one `r14`-based memory operand.
@@ -169,8 +148,6 @@ pub(crate) struct SiteObs {
     pub reachable: bool,
     /// Index-register observation (reachable sites only).
     pub idx: Option<IdxObs>,
-    /// Hoisted-guard facts that dominate this access.
-    pub hfacts: Vec<HGuard>,
 }
 
 /// The abstract index value at an access, with any covering proof state.
@@ -248,7 +225,6 @@ pub(crate) fn analyze(func: usize, code: &[u8], int_params: &[bool]) -> MachineA
         }
     };
     let mut ai = Absint::new(func, code.len(), insts, int_params);
-    ai.scan_hguards();
     if let Err(f) = ai.build_cfg() {
         ai.findings.push(f);
         // Even with a broken CFG we can still enumerate raw r14 operands
@@ -280,10 +256,6 @@ struct Absint {
     sites: BTreeMap<usize, SiteObs>,
     entry_state: State,
     recording: bool,
-    /// Pre-scanned hoisted-guard sequences, in byte order.
-    hguards: Vec<HGuard>,
-    /// Byte offset of a guard's final `ja` -> its `hguards` index.
-    hguard_by_ja: HashMap<usize, usize>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -320,7 +292,6 @@ impl Absint {
             regs,
             slots: BTreeMap::new(),
             facts: BTreeMap::new(),
-            hfacts: BTreeSet::new(),
             flags: Flags::Unknown,
             rbp_valid: false,
             slot_ptr: None,
@@ -338,143 +309,7 @@ impl Absint {
             sites: BTreeMap::new(),
             entry_state,
             recording: false,
-            hguards: Vec::new(),
-            hguard_by_ja: HashMap::new(),
         }
-    }
-
-    // ── hoisted-guard pre-scan ─────────────────────────────────────────
-
-    /// Structurally match every synthesized preheader-guard sequence in
-    /// the instruction stream. The shape is exactly what the JIT's
-    /// `emit_hoist_guards` produces, contiguous and in order:
-    ///
-    /// ```text
-    /// mov  scratch32, <bound>        ; pinned reg or rbp local slot
-    /// [sub scratch, 1]               ; strict (exclusive) bound
-    /// cmp  scratch, 0x7fff_ffff
-    /// ja   slow
-    /// [shl scratch, k]
-    /// [add scratch, addend]
-    /// cmp  scratch, [r15 + MEM_SIZE]
-    /// ja   slow                      ; same target as the first ja
-    /// ```
-    ///
-    /// The fall-through of the final `ja` establishes the guard fact.
-    fn scan_hguards(&mut self) {
-        let mut i = 0;
-        while i < self.insts.len() {
-            if let Some((g, ja_off, next)) = self.match_hguard(i) {
-                let gi = self.hguards.len();
-                self.hguards.push(g);
-                self.hguard_by_ja.insert(ja_off, gi);
-                i = next;
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    fn match_hguard(&self, start: usize) -> Option<(HGuard, usize, usize)> {
-        const SCRATCH: u8 = 11;
-        use Inst::*;
-        let get = |i: usize| -> Option<(usize, Inst)> { self.insts.get(i).copied() };
-        let mut i = start;
-        let src = match get(i)?.1 {
-            MovRr { w: W::W32, d, s } if d.0 == SCRATCH => BoundSrc::Reg(s.0),
-            MovRm { w: W::W32, d, m } if d.0 == SCRATCH && m.base.0 == RBP && m.index.is_none() => {
-                BoundSrc::Slot(m.disp)
-            }
-            _ => return None,
-        };
-        i += 1;
-        let mut strict = false;
-        if let Some((
-            _,
-            AluRi {
-                w: W::W64,
-                op: self::AluRi::Sub,
-                d,
-                v: 1,
-            },
-        )) = get(i)
-        {
-            if d.0 == SCRATCH {
-                strict = true;
-                i += 1;
-            }
-        }
-        match get(i)? {
-            (
-                _,
-                AluRi {
-                    w: W::W64,
-                    op: self::AluRi::Cmp,
-                    d,
-                    v: 0x7FFF_FFFF,
-                },
-            ) if d.0 == SCRATCH => i += 1,
-            _ => return None,
-        }
-        let t1 = match get(i)? {
-            (_, Jcc { cc: Cc::A, rel }) => self.branch_target(i, rel).ok()?,
-            _ => return None,
-        };
-        i += 1;
-        let mut shift = 0u8;
-        if let Some((
-            _,
-            ShiftImm {
-                w: W::W64,
-                op: ShiftOp::Shl,
-                d,
-                v,
-            },
-        )) = get(i)
-        {
-            if d.0 == SCRATCH {
-                shift = v;
-                i += 1;
-            }
-        }
-        let mut addend = 0u64;
-        if let Some((
-            _,
-            AluRi {
-                w: W::W64,
-                op: self::AluRi::Add,
-                d,
-                v,
-            },
-        )) = get(i)
-        {
-            if d.0 == SCRATCH && v >= 0 {
-                addend = v as u64;
-                i += 1;
-            }
-        }
-        match get(i)? {
-            (_, CmpRm { w: W::W64, d, m })
-                if d.0 == SCRATCH && m == Mem::base(Reg(R15), CTX_MEM_SIZE) => {}
-            _ => return None,
-        }
-        let (ja_off, rel2) = match get(i + 1)? {
-            (off, Jcc { cc: Cc::A, rel }) => (off, rel),
-            _ => return None,
-        };
-        if self.branch_target(i + 1, rel2).ok()? != t1 {
-            return None;
-        }
-        Some((
-            HGuard {
-                src,
-                strict,
-                shift,
-                addend,
-            },
-            ja_off,
-            i + 2,
-        ))
     }
 
     fn inst_end(&self, i: usize) -> usize {
@@ -568,11 +403,6 @@ impl Absint {
                             if let Flags::CmpMemSize(lhs) = st.flags {
                                 add_fact(&mut fall, lhs);
                             }
-                            // Hoisted preheader guard: the pass edge of
-                            // its final `ja` proves the whole loop bound.
-                            if let Some(&gi) = self.hguard_by_ja.get(&off) {
-                                fall.hfacts.insert(gi);
-                            }
                         }
                         out.push((t, st.clone()));
                         out.push((self.inst_end(i), fall));
@@ -654,7 +484,6 @@ impl Absint {
                         scale_ok: m.index.map_or(true, |(_, s)| s == 1),
                         reachable: false,
                         idx: None,
-                        hfacts: Vec::new(),
                     },
                 );
             }
@@ -677,7 +506,6 @@ impl Absint {
                     scale_ok: m.index.map_or(true, |(_, s)| s == 1),
                     reachable: false,
                     idx: None,
-                    hfacts: Vec::new(),
                 });
             }
         }
@@ -742,33 +570,56 @@ impl Absint {
     }
 
     fn join_states(&mut self, block: usize, a: &State, b: &State) -> State {
+        // `(a value, b value, joined value)` per location.
+        let mut merged = Vec::with_capacity(16 + a.slots.len());
         let mut regs = [AbsVal::Const(0); 16];
         for r in 0..16 {
             regs[r] = self.join_val(block, JoinLoc::Reg(r as u8), a.regs[r], b.regs[r]);
+            merged.push((a.regs[r], b.regs[r], regs[r]));
         }
         let mut slots = BTreeMap::new();
         for (&d, &av) in &a.slots {
             if let Some(&bv) = b.slots.get(&d) {
-                slots.insert(d, self.join_val(block, JoinLoc::Slot(d), av, bv));
+                let j = self.join_val(block, JoinLoc::Slot(d), av, bv);
+                slots.insert(d, j);
+                merged.push((av, bv, j));
             }
         }
         let mut facts = BTreeMap::new();
         for (&k, &af) in &a.facts {
             if let Some(&bf) = b.facts.get(&k) {
-                facts.insert(
-                    k,
-                    Fact {
-                        covered: af.covered.min(bf.covered),
-                        fresh: af.fresh && bf.fresh,
-                    },
-                );
+                facts.insert(k, af.meet(bf));
             }
+        }
+        // A symbol held in a joined location stands for whichever value
+        // reached it, so its fact is the one covering that value on both
+        // sides, never the key-wise one above: on a back edge a join
+        // symbol's own fact describes its value from the previous
+        // iteration, while the location now holds a new value. Keying
+        // facts alone also loses a fact whenever the two sides' values
+        // differ in kind: a loop index reaches its first guard as the
+        // constant 0 and later as the loop header's join symbol.
+        let mut inherited: BTreeMap<u64, Option<Fact>> = BTreeMap::new();
+        for (av, bv, j) in merged {
+            let AbsVal::Sym { id, add: 0, .. } = j else {
+                continue;
+            };
+            let f = value_cover(a, av)
+                .zip(value_cover(b, bv))
+                .map(|(fa, fb)| fa.meet(fb));
+            let e = inherited.entry(id).or_insert(f);
+            *e = e.zip(f).map(|(x, y)| x.meet(y));
+        }
+        for (id, f) in inherited {
+            match f {
+                Some(f) => facts.insert(FactKey::Sym(id), f),
+                None => facts.remove(&FactKey::Sym(id)),
+            };
         }
         State {
             regs,
             slots,
             facts,
-            hfacts: a.hfacts.intersection(&b.hfacts).copied().collect(),
             flags: if a.flags == b.flags {
                 a.flags
             } else {
@@ -888,7 +739,6 @@ impl Absint {
                     scale_ok: m.index.map_or(true, |(_, s)| s == 1),
                     reachable: true,
                     idx: Some(idx),
-                    hfacts: st.hfacts.iter().map(|&gi| self.hguards[gi]).collect(),
                 },
             );
         }
@@ -1345,6 +1195,21 @@ enum MemClass {
     Other,
 }
 
+/// The fact covering value `v` in `st`, restated for `v` itself: `v +
+/// covered <= mem_size`.
+fn value_cover(st: &State, v: AbsVal) -> Option<Fact> {
+    let (key, add) = match v {
+        AbsVal::Sym { id, add, .. } => (FactKey::Sym(id), add),
+        AbsVal::Const(c) => (FactKey::Consts, c),
+        _ => return None,
+    };
+    let f = st.facts.get(&key)?;
+    Some(Fact {
+        covered: f.covered.checked_sub(add)?,
+        fresh: f.fresh,
+    })
+}
+
 /// Record the guard fact on the fall-through edge of `ja oob`.
 fn add_fact(st: &mut State, lhs: AbsVal) {
     let (key, covered) = match lhs {
@@ -1433,4 +1298,143 @@ fn linear_operand(inst: &Inst) -> Option<(MachineOp, Mem)> {
         _ => return None,
     };
     (m.base.0 == R14).then_some((op, m))
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::isa::{encode, AluRi, Cc, Inst, Mem, Reg, W};
+    use crate::{verify_function, FindingKind, FuncInput};
+    use lb_core::BoundsStrategy;
+    use lb_wasm::instr::MemArg;
+    use lb_wasm::{FuncMeta, Instr};
+
+    /// Encode `prog`; each branch's `rel` holds the index of its target
+    /// instruction and is patched to the byte displacement here.
+    fn assemble(prog: &[Inst]) -> Vec<u8> {
+        let mut offs = vec![0usize];
+        for i in prog {
+            let mut v = Vec::new();
+            encode(i, &mut v);
+            offs.push(offs.last().unwrap() + v.len());
+        }
+        let mut out = Vec::new();
+        for (k, i) in prog.iter().enumerate() {
+            let rel = |t: i32| offs[t as usize] as i32 - offs[k + 1] as i32;
+            let i = match *i {
+                Inst::Jcc { cc, rel: t } => Inst::Jcc { cc, rel: rel(t) },
+                Inst::Jmp { rel: t } => Inst::Jmp { rel: rel(t) },
+                other => other,
+            };
+            encode(&i, &mut out);
+        }
+        out
+    }
+
+    /// A loop header's join symbol must not keep a fact about the value it
+    /// stood for on the previous iteration. Here the header joins `rbx`
+    /// from two constant entries (covered by one constant guard) before the
+    /// body is first visited; the back edge then brings a fresh `rbx + 1`.
+    /// The guard in the loop covers 1 byte, the load needs 4.
+    #[test]
+    fn join_symbol_drops_its_fact_from_the_previous_iteration() {
+        let cmp_mem_size = |d: Reg| Inst::CmpRm {
+            w: W::W64,
+            d,
+            m: Mem::base(Reg::R15, 8),
+        };
+        let (header, oob) = (7, 15);
+        let code = assemble(&[
+            // Preheader: a constant guard of 1004 bytes, then `rbx` is 0
+            // or 1 on the two edges into the header.
+            Inst::MovRi32 {
+                d: Reg::R11,
+                v: 1004,
+            },
+            cmp_mem_size(Reg::R11),
+            Inst::Jcc {
+                cc: Cc::A,
+                rel: oob,
+            },
+            Inst::MovRi32 { d: Reg::RBX, v: 0 },
+            Inst::AluRi {
+                w: W::W32,
+                op: AluRi::Cmp,
+                d: Reg::RAX,
+                v: 0,
+            },
+            Inst::Jcc {
+                cc: Cc::E,
+                rel: header,
+            },
+            Inst::MovRi32 { d: Reg::RBX, v: 1 },
+            // Header: the undersized guard, the load, `ebx += 1`.
+            Inst::Lea {
+                w: W::W64,
+                d: Reg::R11,
+                m: Mem::base(Reg::RBX, 1),
+            },
+            cmp_mem_size(Reg::R11),
+            Inst::Jcc {
+                cc: Cc::A,
+                rel: oob,
+            },
+            Inst::MovRm {
+                w: W::W32,
+                d: Reg::RAX,
+                m: Mem {
+                    base: Reg::R14,
+                    index: Some((Reg::RBX, 1)),
+                    disp: 0,
+                },
+            },
+            Inst::Lea {
+                w: W::W32,
+                d: Reg::RBX,
+                m: Mem::base(Reg::RBX, 1),
+            },
+            Inst::AluRi {
+                w: W::W32,
+                op: AluRi::Cmp,
+                d: Reg::RBX,
+                v: 100_000,
+            },
+            Inst::Jcc {
+                cc: Cc::Ne,
+                rel: header,
+            },
+            Inst::Ret,
+            Inst::Ud2Trap { code: 0 },
+        ]);
+        let body = [
+            Instr::I32Const(0),
+            Instr::I32Load(MemArg::offset(0)),
+            Instr::Drop,
+            Instr::End,
+        ];
+        let meta = FuncMeta {
+            ctrl: vec![0; body.len()],
+            height_at: vec![0; body.len()],
+            body_len: body.len() as u32,
+            ..FuncMeta::default()
+        };
+        let report = verify_function(&FuncInput {
+            func_index: 0,
+            code: &code,
+            body: &body,
+            meta: &meta,
+            strategy: BoundsStrategy::Trap,
+            plan: None,
+            mem_min_bytes: 65536,
+            reserve_bytes: lb_core::DEFAULT_RESERVE_BYTES as u64,
+        });
+        assert_eq!(report.sites_checked, 1);
+        assert!(
+            report
+                .findings
+                .iter()
+                .any(|f| matches!(f.kind, FindingKind::UnguardedAccess { .. })),
+            "the undersized in-loop guard verified: {:?}",
+            report.findings
+        );
+    }
 }

@@ -126,12 +126,9 @@ pub struct FuncReport {
     /// Sites proven safe by a guard executed at the site (or by the guard
     /// region / a static bound).
     pub proven_guarded: u64,
-    /// Sites proven safe by an *earlier* check (a plan elision, or a
-    /// guard fact that still covers the access), with the proof re-checked.
+    /// Sites whose check the analysis plan elided, with the proof
+    /// re-checked.
     pub proven_elided: u64,
-    /// Fast-loop-body sites proven safe by a loop-preheader guard whose
-    /// machine fact dominates the access (mirrors `jit.checks.hoisted`).
-    pub proven_hoisted: u64,
     /// Everything that could not be proven.
     pub findings: Vec<Finding>,
 }
@@ -142,7 +139,6 @@ impl FuncReport {
         self.sites_checked += other.sites_checked;
         self.proven_guarded += other.proven_guarded;
         self.proven_elided += other.proven_elided;
-        self.proven_hoisted += other.proven_hoisted;
         self.findings.extend(other.findings);
     }
 }

@@ -6,7 +6,8 @@
 #   2. the full test suite (unit, integration, differential, fuzz)
 #   3. the in-tree repo lint (unsafe/mmap/opcode containment, signal
 #      safety, unwrap policy)
-#   4. translation validation end-to-end + mutation detection
+#   4. translation validation end-to-end + mutation detection over the
+#      PolyBench kernels, the SPEC proxies and synthetic modules
 #   5. elision-regression gate: no PolyBench kernel's or SPEC proxy's
 #      static elision ratio may fall below its recorded floor
 #      (scripts/elision_floors.tsv)
@@ -15,9 +16,10 @@
 #   7. serving smoke: a short closed-loop serve_bench run; every admitted
 #      request must resolve exactly once and the latency histogram must
 #      be populated
-#   8. plan identity at Small scale: every workload module's analysis plan
-#      must match its recorded digest (crates/analysis/tests/plan_digests.tsv);
-#      the Mini digests are already checked by step 2
+#   8. plan identity at Small scale: every workload module's analysis plan,
+#      under both configurations (interprocedural on and off), must match
+#      its recorded digest (crates/analysis/tests/plan_digests.tsv); the
+#      Mini digests are already checked by step 2
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -8,7 +8,7 @@
 //! bounds strategies, and the four tier configurations behind the
 //! profiles — `full` (wavm), `basic` (wasmtime), `none+sp` (v8's baseline)
 //! and `full+sp` (v8's tier-up). Every configuration consumes the
-//! `lb-analysis` plan with hoisting on, as the profiles do.
+//! `lb-analysis` plan, as the profiles do.
 //!
 //! Function-pointer calls embed a fixed `funcptrs_base`. Helper calls embed
 //! a host function's address (`mov r11, imm; call r11`), which moves with
@@ -79,14 +79,10 @@ fn current_digests() -> Vec<String> {
         .into_iter()
         .map(|b| (format!("{}/{}", b.suite, b.name), b.module))
         .collect();
-    let cfg = lb_analysis::AnalysisConfig {
-        interprocedural: true,
-        hoist: true,
-    };
     let mut lines = Vec::new();
     for (name, module) in &modules {
         let meta = lb_wasm::validate(module).expect("module validates");
-        let plan = lb_analysis::analyze_module_with(module, &meta, &cfg);
+        let plan = lb_analysis::analyze_module(module, &meta);
         for strategy in BoundsStrategy::ALL {
             for (cname, opt, safepoints) in CONFIGS {
                 let params = CompileParams {

@@ -1,14 +1,12 @@
 //! Differential testing for the optimizing tier (`Full`, the wavm
-//! profile) and its loop versioning (hoisted bounds checks): pinned
-//! locals, the guard + fast/slow copy selection, and plan-driven check
-//! elision must be *invisible* to program behavior. Modules with dynamic
+//! profile): pinned locals and plan-driven check elision must be
+//! *invisible* to program behavior. Modules with dynamic
 //! (unprovable-at-compile-time) loop bounds, calls, spill pressure,
 //! same-address access runs and a `memory.grow` between accesses run on
-//! interpreter and JIT configurations with hoisting on and off and the
-//! analysis plan consumed and withheld (and the boundary cases also on
-//! the v8 profile's tier-up code), at exact memory boundaries, and must
-//! agree bit-for-bit on results, trap points, and pre-trap partial side
-//! effects.
+//! interpreter and JIT configurations with the analysis plan consumed
+//! and withheld (and the boundary cases also on the v8 profile's tier-up
+//! code), at exact memory boundaries, and must agree bit-for-bit on
+//! results, trap points, and pre-trap partial side effects.
 
 mod common;
 
@@ -25,17 +23,16 @@ use lb_wasm::{BlockType, FuncType, Instr, Limits, MemArg, MemoryType, Module, Va
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// The tests that compile code all compile with hoisting on, and the
-/// counters they read (`jit.checks.hoisted`, `jit.tierup.count`) are
-/// process-wide: each of them holds this lock, so they run one at a time.
+/// The tier-up tests read the process-wide `jit.tierup.count`, so every
+/// test that compiles code holds this lock and they run one at a time.
 fn serial() -> MutexGuard<'static, ()> {
     static SERIAL: Mutex<()> = Mutex::new(());
     SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The engine matrix every differential test runs: interpreter (analysis
-/// on/off) against the `Full` tier with hoisting on and off and with the
-/// plan withheld (every check emitted), plus the `Basic` tier.
+/// on/off) against the `Full` tier with the plan consumed and withheld
+/// (every check emitted), plus the `Basic` tier.
 fn engines() -> Vec<(&'static str, Box<dyn Engine>)> {
     vec![
         ("interp", Box::new(InterpEngine::new())),
@@ -44,10 +41,6 @@ fn engines() -> Vec<(&'static str, Box<dyn Engine>)> {
             Box::new(InterpEngine::new().with_analysis(false)),
         ),
         ("wavm", Box::new(JitEngine::new(JitProfile::wavm()))),
-        (
-            "wavm-nohoist",
-            Box::new(JitEngine::new(JitProfile::wavm().with_hoisting(false))),
-        ),
         (
             "wavm-noanalysis",
             Box::new(JitEngine::new(JitProfile::wavm().with_analysis(false))),
@@ -140,30 +133,8 @@ fn tiered_up(module: &Module, strategy: BoundsStrategy) -> Arc<dyn LoadedModule>
     loaded
 }
 
-/// The plan must actually version this loop — otherwise the differential
-/// tests below exercise nothing.
-#[test]
-fn dynamic_bound_loop_is_hoisted() {
-    let m = dynamic_bound_module();
-    let meta = lb_wasm::validate(&m).unwrap();
-    let plan = lb_analysis::analyze_module(&m, &meta);
-    let f = &plan.funcs[0];
-    assert_eq!(f.summary.elided_hoisted, 1, "store site is hoisted");
-    assert_eq!(
-        f.summary.emitted, 1,
-        "the post-loop a[n-1] read keeps its check"
-    );
-    let h = (0..m.functions[0].body.len() as u32)
-        .find_map(|pc| f.hoist_at(pc))
-        .expect("one versioned loop");
-    assert_eq!(h.guards.len(), 1);
-    let g = h.guards[0];
-    assert!(g.strict, "backedge is `i <u end`");
-    assert_eq!(g.shift, 2);
-    assert_eq!(g.addend, u64::from(A_BASE) + 4);
-}
-
-/// Fast/slow selection at the exact guard boundary, under trap and clamp.
+/// The dynamic-bound loop at the exact memory boundary, under trap and
+/// clamp.
 #[test]
 fn versioned_loop_boundary_agrees() {
     let _serial = serial();
@@ -172,8 +143,8 @@ fn versioned_loop_boundary_agrees() {
 }
 
 /// The same sweep on the v8 profile after its tier-up, against the
-/// interpreter: the background recompile (`Full` with safepoint polls,
-/// the plan's versioned loop included) must not move a result or a trap.
+/// interpreter: the background recompile (`Full` with safepoint polls)
+/// must not move a result or a trap.
 #[test]
 fn tiered_up_boundary_agrees() {
     let _serial = serial();
@@ -196,10 +167,10 @@ fn tiered_up_boundary_agrees() {
 /// and returns the agreed result.
 fn dynamic_bound_sweep(agree: impl Fn(BoundsStrategy, i32, &str) -> String) {
     for strategy in [BoundsStrategy::Trap, BoundsStrategy::Clamp] {
-        // In-bounds `n` (the largest takes the fast copy; the guard is
-        // exactly `(n-1)*4 + 68 <= 65536`).
+        // In-bounds `n` (the largest ends exactly at the page edge:
+        // `(n-1)*4 + 68 <= 65536`).
         for n in [0, 1, 7, MAX_N - 1, MAX_N] {
-            let got = agree(strategy, n, "versioned loop in bounds");
+            let got = agree(strategy, n, "dynamic-bound loop in bounds");
             let want = if n == 0 {
                 "ok:0000000000000000".to_string()
             } else {
@@ -208,8 +179,8 @@ fn dynamic_bound_sweep(agree: impl Fn(BoundsStrategy, i32, &str) -> String) {
             assert_eq!(got, want, "{strategy:?} n={n}");
         }
     }
-    // First `n` past the guard: the slow copy runs and the strategies
-    // diverge from each other (trap vs redirect) but never across engines.
+    // First `n` past the edge: the strategies diverge from each other
+    // (trap vs redirect) but never across engines.
     assert!(
         agree(BoundsStrategy::Trap, MAX_N + 1, "first oob").starts_with("trap:"),
         "trap strategy must trap one element past the end"
@@ -218,8 +189,7 @@ fn dynamic_bound_sweep(agree: impl Fn(BoundsStrategy, i32, &str) -> String) {
         agree(BoundsStrategy::Clamp, MAX_N + 1, "first oob clamped").starts_with("ok:"),
         "clamp strategy redirects instead of trapping"
     );
-    // A bound that wraps as signed: the guard's range pre-check must
-    // route it to the slow copy, which traps at the same point.
+    // A bound that wraps as signed traps at the same point.
     assert!(
         agree(BoundsStrategy::Trap, -1, "wrapping bound").starts_with("trap:"),
         "huge unsigned bound still traps at the boundary"
@@ -308,21 +278,19 @@ fn pre_trap_stores_agree(loaded: &[(&str, Arc<dyn LoadedModule>)]) {
     }
 }
 
-/// Multi-function module: `go(n)` calls an internal `fill(m)` (versioned —
-/// its bound joins a ⊤ argument) and sizes a second loop with an internal
+/// Multi-function module: `go(n)` calls an internal `fill(m)` (whose loop
+/// keeps its check — its bound joins a ⊤ argument) and sizes a second loop with an internal
 /// `len()` helper whose constant return interval the interprocedural
-/// analysis propagates (that loop needs no guard at all).
+/// analysis propagates (that loop needs no check at all).
 #[test]
 fn multi_function_versioned_boundary_agrees() {
     let _serial = serial();
     let m = multi_function_module();
     let meta = lb_wasm::validate(&m).unwrap();
 
-    // Plan shape: `fill`'s loop is versioned; `go`'s second loop is fully
-    // statically elided through `len`'s propagated return interval.
+    // Plan shape: `go`'s second loop is fully statically elided through
+    // `len`'s propagated return interval.
     let plan = lb_analysis::analyze_module(&m, &meta);
-    assert_eq!(plan.funcs[1].summary.elided_hoisted, 1, "fill is versioned");
-    assert_eq!(plan.funcs[0].summary.elided_hoisted, 0);
     assert_eq!(
         plan.funcs[0].summary.emitted, 1,
         "only the post-loop a[n-1] read keeps its check"
@@ -349,35 +317,6 @@ fn multi_function_versioned_boundary_agrees() {
     assert!(
         agreed(&m, BoundsStrategy::Trap, MAX_N + 1, "multi-function oob").starts_with("trap:"),
         "callee loop traps one element past the end"
-    );
-}
-
-/// The `jit.checks.hoisted` counter reports fast-copy sites — and stays
-/// zero with hoisting disabled.
-#[test]
-fn hoisted_counter_reports_fast_sites() {
-    let _serial = serial();
-    let m = dynamic_bound_module();
-    let hoisted = lb_telemetry::counter("jit.checks.hoisted");
-    let run = |profile: JitProfile| {
-        let before = hoisted.get();
-        let engine = JitEngine::new(profile);
-        let loaded = engine.load(&m).expect("module loads");
-        let config = MemoryConfig::new(BoundsStrategy::Trap, 1, 1).with_reserve(1 << 22);
-        let mut inst = loaded
-            .instantiate(&config, &Linker::new())
-            .expect("instantiate");
-        assert!(inst.invoke("go", &[Value::I32(7)]).is_ok());
-        hoisted.get() - before
-    };
-    assert!(
-        run(JitProfile::wavm()) > 0,
-        "hoisting on: fast-copy sites counted"
-    );
-    assert_eq!(
-        run(JitProfile::wavm().with_hoisting(false)),
-        0,
-        "hoisting off: no hoisted sites"
     );
 }
 

@@ -18,8 +18,6 @@
 //! live session or `set_sampling(0)` starves another's `lb_prof::start()`
 //! when the harness runs them on parallel threads.
 
-mod common;
-
 use lb_core::exec::{Engine, Linker};
 use lb_core::{BoundsStrategy, MemoryConfig};
 use lb_jit::{JitEngine, JitProfile};
@@ -128,69 +126,5 @@ fn guard_attribution_tracks_check_elision() {
         "guard self-time went the wrong way: {:.2}% with checks vs {:.2}% elided",
         with_checks.guard_pct_resolved(),
         elided.guard_pct_resolved()
-    );
-}
-
-/// Run the dynamic-bound store loop for ~half a second with the profiler
-/// attached. Its loop bound is a parameter, so *static* elision can never
-/// remove the per-store guard — only the hoisted preheader guard can.
-fn profile_hoist_run(hoisting: bool) -> lb_prof::ProfReport {
-    lb_prof::set_sampling(4000);
-    let m = common::dynamic_bound_module();
-    let engine = JitEngine::new(JitProfile::wavm().with_hoisting(hoisting));
-    let loaded = engine.load(&m).expect("load");
-    let config = MemoryConfig::new(BoundsStrategy::Trap, 1, 1).with_reserve(1 << 22);
-    let linker = Linker::new();
-    let mut inst = loaded.instantiate(&config, &linker).expect("instantiate");
-    let session = lb_prof::start().expect("profiler session");
-    let t0 = Instant::now();
-    while t0.elapsed() < Duration::from_millis(500) {
-        inst.invoke("go", &[lb_wasm::Value::I32(common::MAX_N)])
-            .expect("go stays in bounds");
-    }
-    let report = lb_prof::resolve_profile(session.stop());
-    lb_prof::set_sampling(0);
-    report
-}
-
-/// Hoisting moves the bounds check out of the loop: guard self-time on a
-/// kernel whose checks static analysis *cannot* remove must measurably
-/// drop when the loop is versioned behind a preheader guard.
-#[test]
-fn guard_self_time_drops_with_hoisting() {
-    let _profiler = profiler_lock();
-    let checked = profile_hoist_run(false);
-    let hoisted = profile_hoist_run(true);
-
-    for (name, r) in [("checked", &checked), ("hoisted", &hoisted)] {
-        let sum: u64 = r.class_counts().iter().map(|&(_, n)| n).sum();
-        assert_eq!(sum, r.total, "{name}: class buckets must partition samples");
-        assert!(r.resolved() + r.unresolved == r.total, "{name}");
-    }
-
-    if !direction_has_signal(
-        "guard_self_time_drops_with_hoisting",
-        ("checked", checked.resolved()),
-        ("hoisted", hoisted.resolved()),
-    ) {
-        return;
-    }
-
-    // The versioned fast body is check-free; the preheader guard runs
-    // once per call, which is statistically invisible.
-    assert!(
-        hoisted.guard_pct_resolved() <= 5.0,
-        "hoisted kernel shows {:.2}% guard self-time ({} of {} resolved)",
-        hoisted.guard_pct_resolved(),
-        hoisted.guard,
-        hoisted.resolved()
-    );
-    // Per-store guards dominate a 4-instruction loop body: the drop must
-    // be real signal, not slack.
-    assert!(
-        checked.guard_pct_resolved() >= hoisted.guard_pct_resolved() + 5.0,
-        "guard self-time did not drop with hoisting: {:.2}% checked vs {:.2}% hoisted",
-        checked.guard_pct_resolved(),
-        hoisted.guard_pct_resolved()
     );
 }

@@ -1,11 +1,10 @@
 //! End-to-end translation validation: every function of every PolyBench
-//! kernel — plus the synthetic dynamic-bound modules whose loops the
-//! analysis *versions* with hoisted preheader guards — compiled under
-//! every bounds-check strategy at every tier, with the analysis plan both
-//! consumed and withheld, must verify with zero findings. The verifier's
-//! independently-derived counts must equal what codegen said it did:
-//! `proven_elided == jit.checks.static_elided` and
-//! `proven_hoisted == jit.checks.hoisted`, per configuration.
+//! kernel and SPEC proxy — plus synthetic modules with dynamic loop bounds
+//! and same-address access runs — compiled under every bounds-check
+//! strategy at every tier, with the analysis plan both consumed and
+//! withheld, must verify with zero findings. The verifier's
+//! independently-derived count must equal what codegen said it did:
+//! `proven_elided == jit.checks.static_elided`, per configuration.
 //!
 //! One `#[test]` on purpose: the jit and verify counters are
 //! process-global, so the sweep owns the whole binary and compares
@@ -41,12 +40,10 @@ struct SweepTotals {
     configs: usize,
     sites: u64,
     elided: u64,
-    hoisted: u64,
 }
 
 fn sweep_module(name: &str, module: &Module, totals: &mut SweepTotals) {
     let jit_elided = lb_telemetry::counter("jit.checks.static_elided");
-    let jit_hoisted = lb_telemetry::counter("jit.checks.hoisted");
     let meta = lb_wasm::validate(module).expect("module validates");
     let plan = lb_analysis::analyze_module(module, &meta);
     let mem_min_bytes = module
@@ -67,15 +64,12 @@ fn sweep_module(name: &str, module: &Module, totals: &mut SweepTotals) {
                 plans: with_plan.then_some(&plan),
             };
             let before_elided = jit_elided.get();
-            let before_hoisted = jit_hoisted.get();
             let codes: Vec<Vec<u8>> = (0..module.functions.len())
                 .map(|di| compile_function(params, di))
                 .collect();
             let jit_elided_delta = jit_elided.get() - before_elided;
-            let jit_hoisted_delta = jit_hoisted.get() - before_hoisted;
 
             let mut verify_elided = 0u64;
-            let mut verify_hoisted = 0u64;
             for (di, code) in codes.iter().enumerate() {
                 let func_plan = (with_plan && opt != OptLevel::None).then(|| &plan.funcs[di]);
                 let report = verify_function(&FuncInput {
@@ -100,12 +94,11 @@ fn sweep_module(name: &str, module: &Module, totals: &mut SweepTotals) {
                 );
                 assert_eq!(
                     report.sites_checked,
-                    report.proven_guarded + report.proven_elided + report.proven_hoisted,
+                    report.proven_guarded + report.proven_elided,
                     "{name} [{strategy:?}/{opt:?}/plan={with_plan}] func {di}: \
                      every site must be proven one way or the other"
                 );
                 verify_elided += report.proven_elided;
-                verify_hoisted += report.proven_hoisted;
                 totals.sites += report.sites_checked;
             }
             assert_eq!(
@@ -113,13 +106,7 @@ fn sweep_module(name: &str, module: &Module, totals: &mut SweepTotals) {
                 "{name} [{strategy:?}/{opt:?}/plan={with_plan}]: the verifier's \
                  elision count must agree with jit.checks.static_elided"
             );
-            assert_eq!(
-                verify_hoisted, jit_hoisted_delta,
-                "{name} [{strategy:?}/{opt:?}/plan={with_plan}]: the verifier's \
-                 hoisted count must agree with jit.checks.hoisted"
-            );
             totals.elided += verify_elided;
-            totals.hoisted += verify_hoisted;
             totals.configs += 1;
         }
     }
@@ -133,10 +120,13 @@ fn all_kernels_verify_with_zero_findings() {
         let bench = lb_polybench::by_name(name, lb_polybench::Dataset::Mini).expect("known kernel");
         sweep_module(name, &bench.module, &mut totals);
     }
-    // The synthetic dynamic-bound modules: the only ones in the sweep
-    // whose plans contain `ElideHoisted` sites, so the only ones that
-    // exercise versioned-loop emission and its verification.
-    let hoisted_before = totals.hoisted;
+    // The SPEC proxies hold every check the benchmark workloads still
+    // emit (runtime-sized loops and data-dependent indices).
+    for bench in lb_spec_proxy::all(lb_spec_proxy::Scale::Mini) {
+        sweep_module(&bench.name, &bench.module, &mut totals);
+    }
+    // The synthetic dynamic-bound modules: loops whose bound is a
+    // parameter, so their accesses keep per-iteration checks.
     sweep_module(
         "dynamic-bound",
         &common::dynamic_bound_module(),
@@ -147,10 +137,6 @@ fn all_kernels_verify_with_zero_findings() {
         &common::multi_function_module(),
         &mut totals,
     );
-    assert!(
-        totals.hoisted > hoisted_before,
-        "the synthetic modules must exercise hoisted-guard verification"
-    );
     // Straight-line same-address access runs and a `memory.grow` between
     // accesses: dominated sites and a call-like kill outside any loop.
     sweep_module("rmw", &common::rmw_module(), &mut totals);
@@ -159,7 +145,7 @@ fn all_kernels_verify_with_zero_findings() {
 
     // The sweep must actually have exercised elision: the analysis plans
     // fire on these kernels.
-    assert_eq!(totals.configs, 35 * STRATEGIES.len() * CONFIGS.len());
+    assert_eq!(totals.configs, 42 * STRATEGIES.len() * CONFIGS.len());
     assert!(totals.sites > 0, "kernels contain memory accesses");
     assert!(
         totals.elided > 0,
