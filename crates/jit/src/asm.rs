@@ -103,6 +103,34 @@ pub enum Cc {
     G = 0xF,
 }
 
+impl std::ops::Not for Cc {
+    type Output = Cc;
+
+    /// The negated condition (x86 pairs each condition with its negation
+    /// in the low bit of the `cc` nibble).
+    fn not(self) -> Cc {
+        use Cc::*;
+        match self {
+            O => No,
+            No => O,
+            B => Ae,
+            Ae => B,
+            E => Ne,
+            Ne => E,
+            Be => A,
+            A => Be,
+            S => Ns,
+            Ns => S,
+            P => Np,
+            Np => P,
+            L => Ge,
+            Ge => L,
+            Le => G,
+            G => Le,
+        }
+    }
+}
+
 /// An unresolved intra-function label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Label(usize);
@@ -420,9 +448,19 @@ impl Asm {
         self.alu_rr(w, 0x09, d, s);
     }
 
+    /// `or d, imm`.
+    pub fn or_ri(&mut self, w: W, d: Reg, v: i32) {
+        self.alu_ri(w, 1, d, v);
+    }
+
     /// `xor d, s`.
     pub fn xor_rr(&mut self, w: W, d: Reg, s: Reg) {
         self.alu_rr(w, 0x31, d, s);
+    }
+
+    /// `xor d, imm`.
+    pub fn xor_ri(&mut self, w: W, d: Reg, v: i32) {
+        self.alu_ri(w, 6, d, v);
     }
 
     /// `cmp d, s`.
@@ -452,6 +490,21 @@ impl Asm {
         self.rex(w == W::W64, d.hi(), false, s.hi(), false);
         self.bytes(&[0x0F, 0xAF]);
         self.modrm(3, d.low(), s.low());
+    }
+
+    /// `imul d, s, imm` (three-operand signed multiply; `d` may differ
+    /// from `s`).
+    pub fn imul_rri(&mut self, w: W, d: Reg, s: Reg, v: i32) {
+        self.rex(w == W::W64, d.hi(), false, s.hi(), false);
+        if i8::try_from(v).is_ok() {
+            self.b(0x6B);
+            self.modrm(3, d.low(), s.low());
+            self.b(v as i8 as u8);
+        } else {
+            self.b(0x69);
+            self.modrm(3, d.low(), s.low());
+            self.i32_(v);
+        }
     }
 
     /// `neg d`.
@@ -529,6 +582,21 @@ impl Asm {
     /// `shr d, imm`.
     pub fn shr_i(&mut self, w: W, d: Reg, v: u8) {
         self.shift_imm(w, 5, d, v);
+    }
+
+    /// `sar d, imm`.
+    pub fn sar_i(&mut self, w: W, d: Reg, v: u8) {
+        self.shift_imm(w, 7, d, v);
+    }
+
+    /// `rol d, imm`.
+    pub fn rol_i(&mut self, w: W, d: Reg, v: u8) {
+        self.shift_imm(w, 0, d, v);
+    }
+
+    /// `ror d, imm`.
+    pub fn ror_i(&mut self, w: W, d: Reg, v: u8) {
+        self.shift_imm(w, 1, d, v);
     }
 
     /// `lea d, [m]`.
@@ -945,6 +1013,13 @@ mod tests {
         a.shl_cl(W::W32, Reg::RAX);
         a.rol_cl(W::W64, Reg::RDX);
         a.shr_i(W::W64, Reg::RSI, 3);
+        a.sar_i(W::W32, Reg::R9, 31);
+        a.rol_i(W::W64, Reg::RAX, 7);
+        a.ror_i(W::W32, Reg::RDI, 1);
+        a.or_ri(W::W32, Reg::RCX, 0x100);
+        a.xor_ri(W::W64, Reg::R12, -1);
+        a.imul_rri(W::W32, Reg::RAX, Reg::RBX, 0x46);
+        a.imul_rri(W::W64, Reg::R10, Reg::R13, 1000);
         let d = disasm(&a.finish());
         assert!(d.contains("popcnt rax,rcx"), "{d}");
         assert!(d.contains("lzcnt  edx,ebx"), "{d}");
@@ -952,6 +1027,13 @@ mod tests {
         assert!(d.contains("shl    eax,cl"), "{d}");
         assert!(d.contains("rol    rdx,cl"), "{d}");
         assert!(d.contains("shr    rsi,0x3"), "{d}");
+        assert!(d.contains("sar    r9d,0x1f"), "{d}");
+        assert!(d.contains("rol    rax,0x7"), "{d}");
+        assert!(d.contains("ror    edi,0x1"), "{d}");
+        assert!(d.contains("or     ecx,0x100"), "{d}");
+        assert!(d.contains("xor    r12,0xffffffffffffffff"), "{d}");
+        assert!(d.contains("imul   eax,ebx,0x46"), "{d}");
+        assert!(d.contains("imul   r10,r13,0x3e8"), "{d}");
     }
 
     #[test]

@@ -17,6 +17,13 @@
 //! *none/mprotect/uffd* emit the raw access against the 8 GiB reservation;
 //! *trap* emits `lea`+`cmp`+`ja` to a `ud2` stub; *clamp* emits
 //! `lea`+`cmp`+`cmova` against the memory end.
+//!
+//! Instruction selection at `Basic`/`Full` (`None` keeps the plain register
+//! forms): a constant right operand that fits a sign-extended imm32 is
+//! encoded as an immediate (`add/sub/and/or/xor r, imm`, `imul d, s, imm`,
+//! `cmp r, imm`, and shifts/rotates by a masked constant count), and an
+//! integer compare or `eqz` that directly feeds a `br_if`/`if` sets the
+//! flags for that branch's `jcc` instead of materializing a boolean.
 
 use crate::asm::Xmm;
 use crate::asm::{Asm, Cc, Label, Mem, Reg, W};
@@ -146,6 +153,9 @@ struct Gen<'a> {
     /// `(code_offset, wasm_pc)` per lowered instruction — the
     /// wasm-offset side table the profiler resolves samples through.
     pc_map: Vec<(u32, u32)>,
+    /// Set by a compare fused with the next instruction's branch: the
+    /// flags hold its result, true under this condition.
+    fused: Option<Cc>,
 }
 
 fn full_pools() -> (Vec<Reg>, Vec<Xmm>) {
@@ -199,6 +209,7 @@ pub fn compile_function_mapped(
         pinned: HashMap::new(),
         n_pinned: 0,
         pc_map: Vec::with_capacity(func.body.len()),
+        fused: None,
     };
     if p.opt == OptLevel::Full {
         // Pin the first few integer locals (loop counters, bases) in
@@ -1067,16 +1078,126 @@ impl<'a> Gen<'a> {
         self.push_i(a);
     }
 
+    /// Pop the right operand when it is a constant that fits a
+    /// sign-extended imm32 (every i32 constant; an i64 one in `i32`
+    /// range). Never at `OptLevel::None`, which keeps the register forms.
+    fn pop_imm(&mut self) -> Option<i32> {
+        if self.p.opt == OptLevel::None {
+            return None;
+        }
+        let v = match self.stack.last()? {
+            AVal::C(Value::I32(v)) => *v,
+            AVal::C(Value::I64(v)) => i32::try_from(*v).ok()?,
+            _ => return None,
+        };
+        self.stack.pop();
+        Some(v)
+    }
+
+    /// `a op= b`: the immediate form `ri` for a constant `b`, else the
+    /// register form `rr`.
+    fn alu_op(&mut self, w: W, rr: fn(&mut Asm, W, Reg, Reg), ri: fn(&mut Asm, W, Reg, i32)) {
+        match self.pop_imm() {
+            Some(v) => {
+                let a = self.pop_i();
+                ri(&mut self.a, w, a, v);
+                self.push_i(a);
+            }
+            None => self.binop_i(|asm, a, b| rr(asm, w, a, b)),
+        }
+    }
+
+    /// `a * b`. A constant `b` takes the three-operand `imul d, a, imm`,
+    /// which reads a pinned `a` in place.
+    fn mul_op(&mut self, w: W) {
+        match self.pop_imm() {
+            Some(v) => {
+                let (a, owned) = self.pop_i_read(&[]);
+                let d = if owned { a } else { self.alloc_i() };
+                self.a.imul_rri(w, d, a, v);
+                self.push_i(d);
+            }
+            None => self.binop_i(|asm, a, b| asm.imul_rr(w, a, b)),
+        }
+    }
+
+    /// Whether the compare being lowered feeds the very next instruction,
+    /// a `br_if` or `if`, with no label binding between them: its flags
+    /// then drive that branch directly.
+    fn fuses_with_next(&self) -> bool {
+        let next = self.cur_pc + 1;
+        self.p.opt != OptLevel::None
+            && matches!(self.body.get(next), Some(Instr::BrIf(_) | Instr::If(_)))
+            && !self.labels.contains_key(&(next as u32))
+    }
+
+    /// Before a compare whose operands are popped: a zeroed register for
+    /// its boolean, or — when it fuses with the next branch — `None`,
+    /// after spilling the stack here so that nothing sits between the
+    /// compare and the branch's `jcc`.
+    fn cond_dest(&mut self, ex: &[Reg]) -> Option<Reg> {
+        if self.fuses_with_next() {
+            self.spill_all();
+            return None;
+        }
+        let d = self.alloc_i_ex(ex);
+        self.a.xor_rr(W::W32, d, d);
+        Some(d)
+    }
+
+    /// After the compare: materialize "true under `cc`" into `d`, or leave
+    /// it in the flags for the fused branch.
+    fn set_cond(&mut self, cc: Cc, d: Option<Reg>) {
+        match d {
+            Some(d) => {
+                self.a.setcc(cc, d);
+                self.push_i(d);
+            }
+            None => self.fused = Some(cc),
+        }
+    }
+
+    /// An integer compare, true under `cc`: `cmp a, imm` for a constant
+    /// right operand, else `cmp a, b`.
     fn cmp_set(&mut self, w: W, cc: Cc) {
+        if let Some(v) = self.pop_imm() {
+            let (a, ao) = self.pop_i_read(&[]);
+            let d = self.cond_dest(&[a]);
+            self.a.cmp_ri(w, a, v);
+            self.done_read(a, ao);
+            self.set_cond(cc, d);
+            return;
+        }
         let (b, bo) = self.pop_i_read(&[]);
         let (a, ao) = self.pop_i_read(&[b]);
-        let d = self.alloc_i_ex(&[a, b]);
-        self.a.xor_rr(W::W32, d, d);
+        let d = self.cond_dest(&[a, b]);
         self.a.cmp_rr(w, a, b);
-        self.a.setcc(cc, d);
         self.done_read(a, ao);
         self.done_read(b, bo);
-        self.push_i(d);
+        self.set_cond(cc, d);
+    }
+
+    /// `eqz`: `test a, a`, true under `E`.
+    fn eqz(&mut self, w: W) {
+        let (a, ao) = self.pop_i_read(&[]);
+        let d = self.cond_dest(&[a]);
+        self.a.test_rr(w, a, a);
+        self.done_read(a, ao);
+        self.set_cond(Cc::E, d);
+    }
+
+    /// Set the flags for the branch condition on top of the stack (after
+    /// spilling the stack) and return the condition under which it is
+    /// true: a fused compare's own, or `Ne` after `test c, c`.
+    fn branch_cond(&mut self) -> Cc {
+        if let Some(cc) = self.fused.take() {
+            return cc;
+        }
+        let (c, co) = self.pop_i_read(&[]);
+        self.spill_all();
+        self.a.test_rr(W::W32, c, c);
+        self.done_read(c, co);
+        Cc::Ne
     }
 
     fn fcmp_set(&mut self, double: bool, swapped: bool, cc: Cc, nan_is_one: bool) {
@@ -1105,12 +1226,29 @@ impl<'a> Gen<'a> {
         self.push_i(d);
     }
 
-    fn shift_op(&mut self, w: W, f: impl FnOnce(&mut Asm, W, Reg)) {
+    /// Shift or rotate `a` by `b`. A constant count, masked to the operand
+    /// width as wasm defines it, takes the immediate form `ri` (a zero
+    /// count is the identity and emits nothing); any other count goes
+    /// through `cl`.
+    fn shift_op(&mut self, w: W, ri: fn(&mut Asm, W, Reg, u8), cl: fn(&mut Asm, W, Reg)) {
+        if self.p.opt != OptLevel::None {
+            if let Some(&AVal::C(c)) = self.stack.last() {
+                self.stack.pop();
+                let mask = if w == W::W32 { 31 } else { 63 };
+                let n = (c.to_bits() & mask) as u8;
+                if n != 0 {
+                    let a = self.pop_i();
+                    ri(&mut self.a, w, a, n);
+                    self.push_i(a);
+                }
+                return;
+            }
+        }
         self.spill_regs(&[Reg::RCX]);
         // Pop the count into RCX.
         self.pop_to_fixed(Reg::RCX);
         let a = self.pop_i_ex(&[Reg::RCX]);
-        f(&mut self.a, w, a);
+        cl(&mut self.a, w, a);
         self.release_i(Reg::RCX);
         self.push_i(a);
     }
@@ -1206,6 +1344,10 @@ impl<'a> Gen<'a> {
         {
             self.cur_pc = pc;
             self.pc_map.push((self.a.len() as u32, pc as u32));
+            debug_assert!(
+                self.fused.is_none() || matches!(self.body[pc], BrIf(_) | If(_)),
+                "a fused compare's flags must reach its branch"
+            );
             // Label binding (and revival of dead code).
             if let Some(&l) = self.labels.get(&(pc as u32)) {
                 if !self.dead {
@@ -1253,13 +1395,10 @@ impl<'a> Gen<'a> {
                 }
                 If(_) => {
                     self.depth += 1;
-                    let (c, co) = self.pop_i_read(&[]);
-                    self.spill_all();
-                    self.a.test_rr(W::W32, c, c);
-                    self.done_read(c, co);
+                    let cc = self.branch_cond();
                     let dest = self.fmeta.ctrl[pc];
                     let l = self.labels[&dest];
-                    self.a.jcc(Cc::E, l);
+                    self.a.jcc(!cc, l);
                 }
                 Else => {
                     self.spill_all();
@@ -1289,23 +1428,20 @@ impl<'a> Gen<'a> {
                     self.dead = true;
                 }
                 BrIf(_) => {
-                    let (c, co) = self.pop_i_read(&[]);
-                    self.spill_all();
+                    let cc = self.branch_cond();
                     let dest = self.fmeta.branch_table[self.fmeta.ctrl[pc] as usize];
-                    self.a.test_rr(W::W32, c, c);
-                    self.done_read(c, co);
                     if self.branch_needs_shuffle(dest) {
                         let skip = self.a.label();
-                        self.a.jcc(Cc::E, skip);
+                        self.a.jcc(!cc, skip);
                         self.branch_to(dest);
                         self.a.bind(skip);
                     } else if dest.dest_pc == self.fmeta.body_len {
                         self.end_label_used = true;
                         let l = self.end_label;
-                        self.a.jcc(Cc::Ne, l);
+                        self.a.jcc(cc, l);
                     } else {
                         let l = self.labels[&dest.dest_pc];
-                        self.a.jcc(Cc::Ne, l);
+                        self.a.jcc(cc, l);
                     }
                 }
                 BrTable(t) => {
@@ -1484,24 +1620,8 @@ impl<'a> Gen<'a> {
                 F32Const(v) => self.stack.push(AVal::C(Value::F32(*v))),
                 F64Const(v) => self.stack.push(AVal::C(Value::F64(*v))),
 
-                I32Eqz => {
-                    let (a, ao) = self.pop_i_read(&[]);
-                    let d = self.alloc_i_ex(&[a]);
-                    self.a.xor_rr(W::W32, d, d);
-                    self.a.test_rr(W::W32, a, a);
-                    self.a.setcc(Cc::E, d);
-                    self.done_read(a, ao);
-                    self.push_i(d);
-                }
-                I64Eqz => {
-                    let (a, ao) = self.pop_i_read(&[]);
-                    let d = self.alloc_i_ex(&[a]);
-                    self.a.xor_rr(W::W32, d, d);
-                    self.a.test_rr(W::W64, a, a);
-                    self.a.setcc(Cc::E, d);
-                    self.done_read(a, ao);
-                    self.push_i(d);
-                }
+                I32Eqz => self.eqz(W::W32),
+                I64Eqz => self.eqz(W::W64),
                 I32Eq => self.cmp_set(W::W32, Cc::E),
                 I32Ne => self.cmp_set(W::W32, Cc::Ne),
                 I32LtS => self.cmp_set(W::W32, Cc::L),
@@ -1571,36 +1691,32 @@ impl<'a> Gen<'a> {
                     if let Some((Value::I32(a), Value::I32(b))) = self.try_fold2_i() {
                         self.stack.push(AVal::C(Value::I32(a.wrapping_add(b))));
                     } else {
-                        self.binop_i(|asm, a, b| asm.add_rr(W::W32, a, b));
+                        self.alu_op(W::W32, Asm::add_rr, Asm::add_ri);
                     }
                 }
                 I32Sub => {
                     if let Some((Value::I32(a), Value::I32(b))) = self.try_fold2_i() {
                         self.stack.push(AVal::C(Value::I32(a.wrapping_sub(b))));
                     } else {
-                        self.binop_i(|asm, a, b| asm.sub_rr(W::W32, a, b));
+                        self.alu_op(W::W32, Asm::sub_rr, Asm::sub_ri);
                     }
                 }
                 I32Mul => {
                     if let Some((Value::I32(a), Value::I32(b))) = self.try_fold2_i() {
                         self.stack.push(AVal::C(Value::I32(a.wrapping_mul(b))));
                     } else {
-                        self.binop_i(|asm, a, b| {
-                            asm.imul_rr(W::W32, a, b);
-                        });
+                        self.mul_op(W::W32);
                     }
                 }
-                I32And => self.binop_i(|asm, a, b| asm.and_rr(W::W32, a, b)),
-                I32Or => self.binop_i(|asm, a, b| asm.or_rr(W::W32, a, b)),
-                I32Xor => self.binop_i(|asm, a, b| asm.xor_rr(W::W32, a, b)),
-                I64Add => self.binop_i(|asm, a, b| asm.add_rr(W::W64, a, b)),
-                I64Sub => self.binop_i(|asm, a, b| asm.sub_rr(W::W64, a, b)),
-                I64Mul => self.binop_i(|asm, a, b| {
-                    asm.imul_rr(W::W64, a, b);
-                }),
-                I64And => self.binop_i(|asm, a, b| asm.and_rr(W::W64, a, b)),
-                I64Or => self.binop_i(|asm, a, b| asm.or_rr(W::W64, a, b)),
-                I64Xor => self.binop_i(|asm, a, b| asm.xor_rr(W::W64, a, b)),
+                I32And => self.alu_op(W::W32, Asm::and_rr, Asm::and_ri),
+                I32Or => self.alu_op(W::W32, Asm::or_rr, Asm::or_ri),
+                I32Xor => self.alu_op(W::W32, Asm::xor_rr, Asm::xor_ri),
+                I64Add => self.alu_op(W::W64, Asm::add_rr, Asm::add_ri),
+                I64Sub => self.alu_op(W::W64, Asm::sub_rr, Asm::sub_ri),
+                I64Mul => self.mul_op(W::W64),
+                I64And => self.alu_op(W::W64, Asm::and_rr, Asm::and_ri),
+                I64Or => self.alu_op(W::W64, Asm::or_rr, Asm::or_ri),
+                I64Xor => self.alu_op(W::W64, Asm::xor_rr, Asm::xor_ri),
 
                 I32DivS => self.div_op(W::W32, true, false),
                 I32DivU => self.div_op(W::W32, false, false),
@@ -1611,16 +1727,16 @@ impl<'a> Gen<'a> {
                 I64RemS => self.div_op(W::W64, true, true),
                 I64RemU => self.div_op(W::W64, false, true),
 
-                I32Shl => self.shift_op(W::W32, |a, w, d| a.shl_cl(w, d)),
-                I32ShrS => self.shift_op(W::W32, |a, w, d| a.sar_cl(w, d)),
-                I32ShrU => self.shift_op(W::W32, |a, w, d| a.shr_cl(w, d)),
-                I32Rotl => self.shift_op(W::W32, |a, w, d| a.rol_cl(w, d)),
-                I32Rotr => self.shift_op(W::W32, |a, w, d| a.ror_cl(w, d)),
-                I64Shl => self.shift_op(W::W64, |a, w, d| a.shl_cl(w, d)),
-                I64ShrS => self.shift_op(W::W64, |a, w, d| a.sar_cl(w, d)),
-                I64ShrU => self.shift_op(W::W64, |a, w, d| a.shr_cl(w, d)),
-                I64Rotl => self.shift_op(W::W64, |a, w, d| a.rol_cl(w, d)),
-                I64Rotr => self.shift_op(W::W64, |a, w, d| a.ror_cl(w, d)),
+                I32Shl => self.shift_op(W::W32, Asm::shl_i, Asm::shl_cl),
+                I32ShrS => self.shift_op(W::W32, Asm::sar_i, Asm::sar_cl),
+                I32ShrU => self.shift_op(W::W32, Asm::shr_i, Asm::shr_cl),
+                I32Rotl => self.shift_op(W::W32, Asm::rol_i, Asm::rol_cl),
+                I32Rotr => self.shift_op(W::W32, Asm::ror_i, Asm::ror_cl),
+                I64Shl => self.shift_op(W::W64, Asm::shl_i, Asm::shl_cl),
+                I64ShrS => self.shift_op(W::W64, Asm::sar_i, Asm::sar_cl),
+                I64ShrU => self.shift_op(W::W64, Asm::shr_i, Asm::shr_cl),
+                I64Rotl => self.shift_op(W::W64, Asm::rol_i, Asm::rol_cl),
+                I64Rotr => self.shift_op(W::W64, Asm::ror_i, Asm::ror_cl),
 
                 F32Abs => self.fsign_op(0x7FFF_FFFF, 0x54),
                 F32Neg => self.fsign_op(0x8000_0000, 0x57),

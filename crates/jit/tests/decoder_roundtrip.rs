@@ -220,6 +220,27 @@ fn alu_roundtrip() {
             }
         }
     });
+    check("immediate forms of the shared lowering", |a| {
+        // or/xor r, imm (`81`/`83` /1 and /6) and the three-operand
+        // `imul d, s, imm` (`6B` imm8 / `69` imm32), across the imm8/imm32
+        // boundary and the imm32 extremes.
+        for d in ALL_REGS {
+            for w in [W::W32, W::W64] {
+                for v in [0, 1, -1, -129, -128, 127, 128, i32::MIN, i32::MAX] {
+                    a.or_ri(w, d, v);
+                    a.xor_ri(w, d, v);
+                    for s in ALL_REGS {
+                        a.imul_rri(w, d, s, v);
+                    }
+                }
+                for n in [1, 5, 31, 32, 63] {
+                    a.sar_i(w, d, n);
+                    a.rol_i(w, d, n);
+                    a.ror_i(w, d, n);
+                }
+            }
+        }
+    });
     check("unary + division + shifts + bitcnt", |a| {
         for w in [W::W32, W::W64] {
             a.cdq_cqo(w);
@@ -251,6 +272,27 @@ fn alu_roundtrip() {
                 a.cmov(W::W64, cc, Reg::RSI, d);
             }
         }
+    });
+}
+
+#[test]
+fn negated_conditions_pair_up() {
+    // `!cc` (`Cc::not`) is an involution that flips exactly the low bit
+    // of the `cc` nibble: the branch a fused compare takes on "false".
+    for cc in ALL_CC {
+        let n = !cc;
+        assert_ne!(n, cc, "{cc:?}");
+        assert_eq!(!n, cc, "{cc:?}");
+        assert_eq!(n as u8, cc as u8 ^ 1, "{cc:?} -> {n:?}");
+    }
+    check("jcc on every condition and its negation", |a| {
+        let l = a.label();
+        for cc in ALL_CC {
+            a.jcc(cc, l);
+            a.jcc(!cc, l);
+        }
+        a.bind(l);
+        a.ret();
     });
 }
 

@@ -978,6 +978,8 @@ impl Absint {
                         let nv = self.fresh(off, u64::from(d.0), true);
                         self.set_reg(st, off, d, nv);
                     }
+                    // `or`/`xor` and every 32-bit form: a fresh value
+                    // (zero-extended at 32 bits), no provenance.
                     _ => {
                         let nv = self.fresh(off, u64::from(d.0), w == W::W32);
                         self.set_reg(st, off, d, nv);
@@ -997,7 +999,9 @@ impl Absint {
                     st.flags = Flags::Unknown;
                 }
             }
-            ImulRr { w, d, .. } | Neg { w, d } => {
+            // A product is a fresh value: 32-bit results are zero-extended
+            // and no provenance survives a multiply.
+            ImulRr { w, d, .. } | ImulRri { w, d, .. } | Neg { w, d } => {
                 let v = self.fresh(off, u64::from(d.0), w == W::W32);
                 self.set_reg(st, off, d, v);
                 st.flags = Flags::Unknown;

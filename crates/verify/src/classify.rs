@@ -365,6 +365,49 @@ mod tests {
     }
 
     #[test]
+    fn immediate_alu_forms_are_compute() {
+        // The shared lowering's immediate forms — `imul d, s, imm`,
+        // `or`/`xor r, imm`, shifts by a constant — and a fused
+        // `cmp r, imm; jl` loop test are compute, not bounds checks.
+        let code = bytes(&[
+            Inst::ImulRri {
+                w: W::W32,
+                d: Reg::RAX,
+                s: Reg::RBX,
+                v: 0x46,
+            },
+            Inst::ImulRri {
+                w: W::W64,
+                d: Reg::RCX,
+                s: Reg::R12,
+                v: 1 << 20,
+            },
+            Inst::AluRi {
+                w: W::W32,
+                op: AluRi::Or,
+                d: Reg::RAX,
+                v: 1,
+            },
+            Inst::AluRi {
+                w: W::W64,
+                op: AluRi::Xor,
+                d: Reg::RCX,
+                v: -129,
+            },
+            Inst::AluRi {
+                w: W::W32,
+                op: AluRi::Cmp,
+                d: Reg::R12,
+                v: 70,
+            },
+            Inst::Jcc { cc: Cc::L, rel: 0 },
+        ]);
+        let cl = classify_function(&code, MEM_SIZE).unwrap();
+        assert_eq!(cl.len(), 6);
+        assert!(cl.iter().all(|c| c.class == InstClass::Compute), "{cl:?}");
+    }
+
+    #[test]
     fn class_at_maps_offsets_through_lengths() {
         let code = bytes(&[
             Inst::Lea {

@@ -20,6 +20,11 @@
 #      under both configurations (interprocedural on and off), must match
 #      its recorded digest (crates/analysis/tests/plan_digests.tsv); the
 #      Mini digests are already checked by step 2
+#   9. instruction selection under strict translation validation: the
+#      constant-operand and compare-and-branch differential test again,
+#      with LB_VERIFY=strict, so lb-verify re-proves every function it
+#      compiles on every JIT profile and strategy (step 2 runs it without
+#      validation)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,5 +45,6 @@ run env LB_PROF=sample:997 LB_PROF_OUT=target/prof-smoke \
 run cargo run --release -p lb-bench --bin serve_bench -- --smoke true
 run cargo test --release -p lb-analysis --test plan_stability -- --ignored \
   small_plans_match_recorded_digests
+run env LB_VERIFY=strict cargo test --release -q --test isel_differential
 
 echo "==> ci.sh: all gates passed"
