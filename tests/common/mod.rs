@@ -196,11 +196,11 @@ pub fn grow_between_module() -> Module {
     )
 }
 
-/// Three-function module exercising the interprocedural layers at once:
-/// exported `go(n)` calls internal `fill(m)` (whose bound joins a ⊤
-/// argument, so its loop keeps its check) and sizes a second loop with
-/// internal `len()` whose constant return interval propagates (so that
-/// loop needs no check at all). Returns `(n != 0 ? a[n-1] : 0) + b[K-1]`.
+/// Three-function module with internal calls: exported `go(n)` calls
+/// internal `fill(m)` (its loop bound is a ⊤ parameter, so the loop keeps
+/// its check) and sizes a second loop with internal `len()` (its call
+/// result is ⊤, so that loop keeps its check too). Returns
+/// `(n != 0 ? a[n-1] : 0) + b[K-1]`.
 pub fn multi_function_module() -> Module {
     let mut m = Module::new();
     m.types.push(FuncType {
