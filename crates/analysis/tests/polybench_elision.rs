@@ -78,10 +78,11 @@ fn check_free_memory_bound_is_reported() {
 
 #[test]
 fn every_kernel_is_fully_elided() {
-    // With interval splitting, relational facts, and interprocedural
-    // summaries, all 30 kernels prove every access — including the four
-    // (deriche, durbin, ludcmp, nussinov) whose triangular or
-    // data-dependent index shapes previously kept some checks emitted.
+    // All 30 kernels prove every access, including the four whose index
+    // shapes once kept some checks emitted. deriche, ludcmp and nussinov
+    // count down past 0, and the wrapped-interval split recovers the
+    // bounded part of the decremented counter; durbin reads `r[k - i - 1]`
+    // under `i < k`, which the relational fact `i <u k` proves.
     let mut partial = Vec::new();
     for name in lb_polybench::NAMES {
         let bench = by_name(name, Dataset::Mini).expect("known benchmark");

@@ -2,7 +2,9 @@
 # The full local CI gate. Run from anywhere; exits nonzero on the first
 # failure. Mirrors what a PR must pass:
 #
-#   1. release build of the whole workspace
+#   1. release build of the whole workspace, and of the repository
+#      benchmark (lbbench is its own workspace, so the workspace build
+#      never compiles it; an API change it depends on fails here)
 #   2. the full test suite (unit, integration, differential, fuzz)
 #   3. the in-tree repo lint (unsafe/mmap/opcode containment, signal
 #      safety, unwrap policy)
@@ -16,10 +18,9 @@
 #   7. serving smoke: a short closed-loop serve_bench run; every admitted
 #      request must resolve exactly once and the latency histogram must
 #      be populated
-#   8. plan identity at Small scale: every workload module's analysis plan,
-#      under both configurations (interprocedural on and off), must match
-#      its recorded digest (crates/analysis/tests/plan_digests.tsv); the
-#      Mini digests are already checked by step 2
+#   8. plan identity at Small scale: every workload module's analysis plan
+#      must match its recorded digest (crates/analysis/tests/plan_digests.tsv);
+#      the Mini digests are already checked by step 2
 #   9. instruction selection under strict translation validation: the
 #      constant-operand and compare-and-branch differential test again,
 #      with LB_VERIFY=strict, so lb-verify re-proves every function it
@@ -34,6 +35,7 @@ run() {
 }
 
 run cargo build --release --workspace
+run cargo build --release --offline --manifest-path lbbench/Cargo.toml
 run cargo test -q --workspace
 run cargo test -q -p lb-analysis --test repo_lint
 run cargo test -q --test verify_e2e
